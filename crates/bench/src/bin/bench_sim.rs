@@ -5,9 +5,9 @@
 //! `--check`) gates CI on wall-clock regressions against a committed
 //! baseline.
 //!
-//! The workload is the criterion `run_trials/bv-16` bench expressed as
-//! data: bv-16 compiled with the baseline policy onto IBM-Q20, faults
-//! injected per gate event. Regressions are judged on normalized
+//! The workload (`run_trials/bv-16` in the JSON) is bv-16 compiled
+//! with the baseline policy onto IBM-Q20, faults injected per gate
+//! event. Regressions are judged on normalized
 //! ns/trial so `--quick` runs remain comparable to a full baseline.
 //!
 //! ```text

@@ -23,13 +23,16 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use quva_serve::{Server, ServerConfig, ServerHandle};
 
 /// How long a chaos client waits for one response line. Generous:
 /// CI hosts may have a single CPU.
 const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How long [`await_admission`] polls before giving up.
+const ADMISSION_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The record of one server chaos scenario.
 #[derive(Debug, Clone)]
@@ -140,6 +143,31 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, String> {
         Ok(0) => Err("connection closed before a response arrived".to_string()),
         Ok(_) => Ok(line.trim_end().to_string()),
         Err(e) => Err(format!("recv: {e}")),
+    }
+}
+
+/// Polls `stats` on a connection until the daemon has admitted at
+/// least one job into its queue (`cache_misses >= 1`), failing after
+/// [`ADMISSION_TIMEOUT`].
+fn await_admission(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> Result<(), String> {
+    let started = Instant::now();
+    loop {
+        let stats = roundtrip(stream, reader, "{\"id\":\"stats\",\"kind\":\"stats\"}")?;
+        let misses = quva_obs::parse_json(&stats)
+            .ok()
+            .and_then(|doc| {
+                doc.get("result")
+                    .and_then(|r| r.get("cache_misses"))
+                    .and_then(|v| v.as_f64())
+            })
+            .unwrap_or(0.0);
+        if misses >= 1.0 {
+            return Ok(());
+        }
+        if started.elapsed() > ADMISSION_TIMEOUT {
+            return Err(format!("no job admitted within {ADMISSION_TIMEOUT:?}: {stats}"));
+        }
+        thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -378,6 +406,12 @@ fn dump_storm() -> Result<ServeChaosOutcome, String> {
         )
         .map_err(|e| format!("send blocker: {e}"))?;
     let (mut stream, mut reader) = open(&addr)?;
+    // The storm must queue behind the blocker. Had storm-0 reached the
+    // worker first, its result would be cached, and the other frames,
+    // as cache hits, would never reach the deadline path. One priority,
+    // first-in first-out: once the blocker is admitted, every storm
+    // frame waits behind it.
+    await_admission(&mut stream, &mut reader).map_err(|e| format!("blocker: {e}"))?;
     let mut deadline_hits = 0u64;
     for i in 0..24 {
         let line = format!(

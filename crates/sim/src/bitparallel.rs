@@ -49,8 +49,10 @@
 //! of salted offsets from that base. There is no sequential RNG state
 //! anywhere, which yields two structural guarantees:
 //!
-//! * the traced and untraced paths consume *identical* draws — tracing
-//!   cannot perturb the sample;
+//! * traced and untraced runs execute one sweep body (tracing is a
+//!   const parameter that compiles the tally writes in or out), so
+//!   they consume *identical* draws — tracing cannot perturb the
+//!   sample;
 //! * merged counts are invariant under any partition of the trial range
 //!   into chunks and any thread schedule, because a word's failure mask
 //!   never depends on which chunk computed it.
@@ -70,7 +72,7 @@
 //!
 //! [`McEngine`]: crate::engine::McEngine
 
-use crate::engine::splitmix;
+use crate::engine::{splitmix, Tally, GOLDEN};
 use crate::profile::{EventClass, FailureProfile};
 
 /// Trials per lane-word.
@@ -96,10 +98,6 @@ const BLOCK: usize = 256;
 /// Largest fused attempt rate: `P(Poisson(32) ≥ 63) < 3·10⁻⁸`, so
 /// folding the tail into slot 63 stays invisible after fusion.
 const FUSE_CAP: f64 = 32.0;
-
-/// SplitMix64 increment (golden-ratio constant), matching the engine's
-/// chunk-seed derivation.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Stream salt for the overflow placement draws of a row (attempts
 /// beyond the five that ride in the phase draw).
@@ -285,8 +283,21 @@ impl Default for Scratch {
 /// time. The specialization is sample-identical by construction — when
 /// no complement rows exist, `inv` is zero in every expression the
 /// general path evaluates.
+///
+/// `TRACED` selects first-failure attribution. Untraced, the
+/// ubiquitous direct-form `m == 1` fire is merged into the mask at
+/// once; traced, it is buffered like every other fire, because
+/// attribution needs the fires in program order. Both orders OR the
+/// same masks, so the returned mask is the same.
 #[inline]
-fn sweep<const HAS_INV: bool>(table: &LaneTable, wb: u64, scratch: &mut Scratch) -> u64 {
+fn sweep<const HAS_INV: bool, const TRACED: bool>(
+    table: &LaneTable,
+    wb: u64,
+    lanes: u64,
+    tally: &mut Tally,
+    scratch: &mut Scratch,
+) -> u64 {
+    let min_buffered = if TRACED { 1 } else { 2 };
     let mut fail = 0u64;
     for (blk, rows) in table.rows.chunks(BLOCK).enumerate() {
         let base_e = (blk * BLOCK) as u64;
@@ -304,19 +315,29 @@ fn sweep<const HAS_INV: bool>(table: &LaneTable, wb: u64, scratch: &mut Scratch)
                 (cell >> FRAC_BITS) & 63
             };
             let inv = if HAS_INV { cell >> 31 } else { 0 };
-            fail |= (1u64 << (r & 63)) & 0u64.wrapping_sub(u64::from(m == 1 && inv == 0));
+            if !TRACED {
+                fail |= (1u64 << (r & 63)) & 0u64.wrapping_sub(u64::from(m == 1 && inv == 0));
+            }
             scratch.r[idx & (BLOCK - 1)] = r;
             scratch.ek[idx & (BLOCK - 1)] = inv << 16 | (er as u32) << 8 | m;
-            idx += usize::from(m >= 2 || inv != 0);
+            idx += usize::from(m >= min_buffered || inv != 0);
+        }
+        if TRACED {
+            tally.fires += idx as u64;
         }
         for (&r, &ek) in scratch.r.iter().zip(&scratch.ek).take(idx) {
-            let e = base_e + u64::from((ek >> 8) & 0xFF);
-            let placed = place(r, (ek & 0xFF) as usize, wb, e);
-            fail |= if HAS_INV {
+            let er = ((ek >> 8) & 0xFF) as usize;
+            let placed = place(r, (ek & 0xFF) as usize, wb, base_e + er as u64);
+            let mask = if HAS_INV {
                 placed ^ 0u64.wrapping_sub(u64::from(ek >> 16))
             } else {
                 placed
             };
+            if TRACED {
+                let newly = mask & !fail & lanes;
+                tally.aborts[table.classes[blk * BLOCK + er].index()] += u64::from(newly.count_ones());
+            }
+            fail |= mask;
         }
     }
     fail
@@ -331,97 +352,28 @@ fn sweep<const HAS_INV: bool>(table: &LaneTable, wb: u64, scratch: &mut Scratch)
 /// buffers), then placement of the compacted fires only.
 /// Complement-form rows are always buffered — even at `m = 0`, where
 /// the inverted empty mask fails the whole word.
+///
+/// With `TRACED`, the word is also tallied: one word, its fired rows,
+/// and first-failure attribution. A lane aborts at the first row
+/// (program order) whose mask covers it — rows are class-homogeneous,
+/// so this is the same class accounting the scalar kernel performs —
+/// restricted to `lanes` so phantom lanes of a partial word are never
+/// attributed. Untraced, `lanes` and `tally` are unused.
 #[inline]
-pub(crate) fn word_failures(table: &LaneTable, wb: u64, scratch: &mut Scratch) -> u64 {
-    if table.any_inv {
-        sweep::<true>(table, wb, scratch)
-    } else {
-        sweep::<false>(table, wb, scratch)
-    }
-}
-
-/// Per-chunk tallies of the traced bit-parallel path, merged into
-/// `sim.*` counters once per worker.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct BpTrace {
-    /// Aborted trials per [`EventClass::index`].
-    pub aborts: [u64; 5],
-    /// Lane-words processed (partial edge words count once each).
-    pub words: u64,
-    /// Fused rows that fired (`m ≥ 1`, or any complement-form row)
-    /// across all processed words.
-    pub fires: u64,
-}
-
-/// The traced twin of [`sweep`]; see [`word_failures_traced`].
-#[inline]
-fn sweep_traced<const HAS_INV: bool>(
+pub(crate) fn word_failures<const TRACED: bool>(
     table: &LaneTable,
     wb: u64,
     lanes: u64,
-    trace: &mut BpTrace,
+    tally: &mut Tally,
     scratch: &mut Scratch,
 ) -> u64 {
-    let mut fail = 0u64;
-    for (blk, rows) in table.rows.chunks(BLOCK).enumerate() {
-        let base_e = (blk * BLOCK) as u64;
-        let mut idx = 0usize;
-        let mut se = wb.wrapping_add(GOLDEN.wrapping_mul(base_e));
-        for (er, row) in rows.iter().enumerate() {
-            se = se.wrapping_add(GOLDEN);
-            let r = splitmix(se);
-            let j = ((r >> 6) & 63) as usize;
-            let frac = (r >> 12) as u32 & FRAC_MASK;
-            let cell = row[j];
-            let m = if frac < cell & FRAC_MASK {
-                j as u32
-            } else {
-                (cell >> FRAC_BITS) & 63
-            };
-            let inv = if HAS_INV { cell >> 31 } else { 0 };
-            scratch.r[idx & (BLOCK - 1)] = r;
-            scratch.ek[idx & (BLOCK - 1)] = inv << 16 | (er as u32) << 8 | m;
-            // Unlike the untraced sweep, m == 1 fires are buffered too:
-            // attribution needs them interleaved in program order.
-            idx += usize::from(m >= 1 || inv != 0);
-        }
-        trace.fires += idx as u64;
-        for (&r, &ek) in scratch.r.iter().zip(&scratch.ek).take(idx) {
-            let er = ((ek >> 8) & 0xFF) as usize;
-            let e = base_e + er as u64;
-            let placed = place(r, (ek & 0xFF) as usize, wb, e);
-            let mask = if HAS_INV {
-                placed ^ 0u64.wrapping_sub(u64::from(ek >> 16))
-            } else {
-                placed
-            };
-            let newly = mask & !fail & lanes;
-            trace.aborts[table.classes[(blk * BLOCK) + er].index()] += u64::from(newly.count_ones());
-            fail |= mask;
-        }
+    if TRACED {
+        tally.words += 1;
     }
-    fail
-}
-
-/// The instrumented twin of [`word_failures`]: identical draws and an
-/// identical return value, plus first-failure attribution. A lane
-/// aborts at the first row (program order) whose mask covers it — rows
-/// are class-homogeneous, so this is the same class accounting the
-/// scalar traced path performs — restricted to `lanes` so phantom
-/// lanes of a partial word are never attributed.
-#[inline]
-pub(crate) fn word_failures_traced(
-    table: &LaneTable,
-    wb: u64,
-    lanes: u64,
-    trace: &mut BpTrace,
-    scratch: &mut Scratch,
-) -> u64 {
-    trace.words += 1;
     if table.any_inv {
-        sweep_traced::<true>(table, wb, lanes, trace, scratch)
+        sweep::<true, TRACED>(table, wb, lanes, tally, scratch)
     } else {
-        sweep_traced::<false>(table, wb, lanes, trace, scratch)
+        sweep::<false, TRACED>(table, wb, lanes, tally, scratch)
     }
 }
 
@@ -443,6 +395,11 @@ mod tests {
             c.measure(PhysQubit(q), Cbit(q));
         }
         FailureProfile::new(&device, &c, CoherenceModel::IdleWindow).expect("ladder is routed")
+    }
+
+    /// The untraced failure mask of word `wb`.
+    fn untraced(table: &LaneTable, wb: u64, scratch: &mut Scratch) -> u64 {
+        word_failures::<false>(table, wb, !0, &mut Tally::default(), scratch)
     }
 
     #[test]
@@ -557,11 +514,11 @@ mod tests {
         let table = LaneTable::new(&ladder_profile());
         let mut sc = Scratch::default();
         let a: Vec<u64> = (0..100)
-            .map(|w| word_failures(&table, crate::engine::splitmix(w), &mut sc))
+            .map(|w| untraced(&table, crate::engine::splitmix(w), &mut sc))
             .collect();
         let b: Vec<u64> = (0..100)
             .rev()
-            .map(|w| word_failures(&table, crate::engine::splitmix(w), &mut sc))
+            .map(|w| untraced(&table, crate::engine::splitmix(w), &mut sc))
             .collect();
         assert!(a.iter().eq(b.iter().rev()));
     }
@@ -574,9 +531,9 @@ mod tests {
         let mut sc = Scratch::default();
         for w in 0..200u64 {
             let wb = splitmix(w.wrapping_mul(GOLDEN));
-            let mut trace = BpTrace::default();
-            let traced = word_failures_traced(&table, wb, !0u64, &mut trace, &mut sc);
-            assert_eq!(traced, word_failures(&table, wb, &mut sc), "word {w} diverged");
+            let mut trace = Tally::default();
+            let traced = word_failures::<true>(&table, wb, !0u64, &mut trace, &mut sc);
+            assert_eq!(traced, untraced(&table, wb, &mut sc), "word {w} diverged");
             total_aborted += trace.aborts.iter().sum::<u64>();
             total_failed += u64::from(traced.count_ones());
         }
@@ -589,13 +546,13 @@ mod tests {
     fn partial_word_attribution_respects_the_lane_mask() {
         let table = LaneTable::new(&ladder_profile());
         let lanes = (1u64 << 13) - 1;
-        let mut narrow = BpTrace::default();
-        let mut full = BpTrace::default();
+        let mut narrow = Tally::default();
+        let mut full = Tally::default();
         let mut sc = Scratch::default();
         for w in 0..200u64 {
             let wb = splitmix(w);
-            let m_narrow = word_failures_traced(&table, wb, lanes, &mut narrow, &mut sc);
-            let m_full = word_failures_traced(&table, wb, !0u64, &mut full, &mut sc);
+            let m_narrow = word_failures::<true>(&table, wb, lanes, &mut narrow, &mut sc);
+            let m_full = word_failures::<true>(&table, wb, !0u64, &mut full, &mut sc);
             // the mask itself is lane-mask independent (same draws)
             assert_eq!(m_narrow, m_full);
         }
@@ -616,7 +573,7 @@ mod tests {
         let words = 40_000u64;
         let mut sc = Scratch::default();
         let failing: u64 = (0..words)
-            .map(|w| u64::from(word_failures(&table, splitmix(w), &mut sc).count_ones()))
+            .map(|w| u64::from(untraced(&table, splitmix(w), &mut sc).count_ones()))
             .sum();
         let mean = failing as f64 / words as f64;
         // SE of the mean of Binomial(64, 0.1) over 40k words ≈ 0.012
@@ -636,17 +593,17 @@ mod tests {
         let words = 40_000u64;
         let mut sc = Scratch::default();
         let surviving: u64 = (0..words)
-            .map(|w| u64::from((!word_failures(&table, splitmix(w), &mut sc)).count_ones()))
+            .map(|w| u64::from((!untraced(&table, splitmix(w), &mut sc)).count_ones()))
             .sum();
         let mean = surviving as f64 / words as f64;
         assert!((mean - 6.4).abs() < 0.06, "mean surviving lanes {mean}");
         // traced twin agrees on the inverted masks too
-        let mut trace = BpTrace::default();
+        let mut trace = Tally::default();
         for w in 0..200u64 {
             let wb = splitmix(w);
             assert_eq!(
-                word_failures_traced(&table, wb, !0u64, &mut trace, &mut sc),
-                word_failures(&table, wb, &mut sc)
+                word_failures::<true>(&table, wb, !0u64, &mut trace, &mut sc),
+                untraced(&table, wb, &mut sc)
             );
         }
     }
@@ -667,7 +624,7 @@ mod tests {
         let table = LaneTable::new(&profile);
         let mut sc = Scratch::default();
         let survivors: u32 = (0..100)
-            .map(|w| (!word_failures(&table, splitmix(w), &mut sc)).count_ones())
+            .map(|w| (!untraced(&table, splitmix(w), &mut sc)).count_ones())
             .sum();
         assert_eq!(survivors, 0, "hopeless device must fail every lane");
     }

@@ -8,8 +8,10 @@
 //! root seed by a SplitMix64 counter, and merging the per-chunk
 //! [`McEstimate`]s by pure integer addition.
 //!
-//! Two trial kernels share that chunked executor, selected by
-//! [`McKernel`]:
+//! One executor runs every configuration: a single chunk-claiming loop
+//! that runs on the caller's thread for one worker and on scoped
+//! work-stealing threads otherwise, over either trial kernel selected
+//! by [`McKernel`]:
 //!
 //! * **`BitParallel`** (the default) — the SWAR kernel of
 //!   [`crate::bitparallel`]: 64 trials per `u64` lane-word, one
@@ -22,10 +24,17 @@
 //!   held to within binomial standard error (the `mc-crossval` CI
 //!   job).
 //!
+//! Tracing is a const parameter of that one loop, not a second copy of
+//! it: with `TRACED = false` every span, counter, and tally write
+//! compiles away, with `TRACED = true` they are compiled in around the
+//! same draws. A traced run therefore consumes exactly the random
+//! numbers an untraced run does, by construction.
+//!
 //! # Determinism contract
 //!
 //! For a given `(trials, seed, chunk_trials, kernel)` the result is
-//! **bit-identical for every thread count, including 1**:
+//! **bit-identical for every thread count, including 1**, with or
+//! without tracing:
 //!
 //! * chunk `k` always simulates the same trial range with the RNG
 //!   stream seeded by [`chunk seed derivation`](#seed-derivation),
@@ -66,7 +75,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::bitparallel::{self, BpTrace, LaneTable, LANES};
+use crate::bitparallel::{self, LaneTable, LANES};
 use crate::montecarlo::McEstimate;
 use crate::profile::{EventClass, FailureProfile};
 
@@ -80,8 +89,9 @@ use crate::profile::{EventClass, FailureProfile};
 pub const DEFAULT_CHUNK_TRIALS: u64 = 16_384;
 
 /// The SplitMix64 increment (golden-ratio constant), shared with
-/// `StdRng`'s seed expansion.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// `StdRng`'s seed expansion and every counter-based draw of the
+/// bit-parallel kernel.
+pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The SplitMix64 output finalizer: a bijective avalanche over `u64`.
 /// Shared by the chunk-seed derivation here and every counter-based
@@ -101,71 +111,60 @@ fn chunk_seed(root: u64, index: u64) -> u64 {
     splitmix(root.wrapping_add(GOLDEN.wrapping_mul(index.wrapping_add(1))))
 }
 
-/// Runs one chunk of the injection loop: `trials` independent trials
-/// against the dense `events` table, its own seeded stream.
-fn run_chunk(events: &[f64], trials: u64, seed: u64) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut successes = 0u64;
-    'trial: for _ in 0..trials {
-        for &p in events {
-            if rng.random::<f64>() < p {
-                continue 'trial;
-            }
-        }
-        successes += 1;
-    }
-    successes
+/// Per-worker tallies of a traced run, published once per worker by
+/// [`Tally::record`]. Only traced kernel instantiations write it.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Aborted trials per [`EventClass::index`].
+    pub aborts: [u64; 5],
+    /// Bit-parallel lane-words processed (partial edge words count
+    /// once each).
+    pub words: u64,
+    /// Bit-parallel fused rows that fired (`m ≥ 1`, or any
+    /// complement-form row) across all processed words.
+    pub fires: u64,
 }
 
-/// [`run_chunk`] with fault attribution: the aborting event's class is
-/// tallied into `aborts` (indexed by [`EventClass::index`]).
-///
-/// Draws the RNG stream *identically* to `run_chunk` — both abort a
-/// trial at its first firing event — so for equal inputs the success
-/// count is bit-identical; only the bookkeeping differs.
-fn run_chunk_traced(
+impl Tally {
+    /// Publishes the tally as `sim.abort.<class>` and
+    /// `sim.bitparallel.{words,fires}` counters (zero entries omitted,
+    /// so a scalar run emits only its aborts). Counter merging is u64
+    /// addition, so the drained totals are independent of the
+    /// work-stealing schedule.
+    fn record(&self) {
+        for class in EventClass::ALL {
+            quva_obs::counter(class.abort_counter(), self.aborts[class.index()]);
+        }
+        quva_obs::counter("sim.bitparallel.words", self.words);
+        quva_obs::counter("sim.bitparallel.fires", self.fires);
+    }
+}
+
+/// Runs one chunk of the scalar injection loop: `trials` independent
+/// trials against the dense `events` table, its own seeded stream.
+/// Traced, the aborting event's class is tallied; a trial aborts at its
+/// first firing event either way, so the draws are the same.
+fn run_chunk<const TRACED: bool>(
     events: &[f64],
     classes: &[EventClass],
     trials: u64,
     seed: u64,
-    aborts: &mut [u64; 5],
+    tally: &mut Tally,
 ) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut successes = 0u64;
     'trial: for _ in 0..trials {
         for (i, &p) in events.iter().enumerate() {
             if rng.random::<f64>() < p {
-                aborts[classes[i].index()] += 1;
+                if TRACED {
+                    tally.aborts[classes[i].index()] += 1;
+                }
                 continue 'trial;
             }
         }
         successes += 1;
     }
     successes
-}
-
-/// Publishes a per-worker abort tally as `sim.abort.<class>` counters
-/// (zero classes omitted). Counter merging is u64 addition, so the
-/// drained totals are independent of the work-stealing schedule.
-fn record_aborts(aborts: &[u64; 5]) {
-    for class in EventClass::ALL {
-        let n = aborts[class.index()];
-        if n > 0 {
-            quva_obs::counter(class.abort_counter(), n);
-        }
-    }
-}
-
-/// Publishes a per-worker bit-parallel tally: the shared `sim.abort.*`
-/// accounting plus the kernel's own `sim.bitparallel.*` counters.
-fn record_bp_trace(trace: &BpTrace) {
-    record_aborts(&trace.aborts);
-    if trace.words > 0 {
-        quva_obs::counter("sim.bitparallel.words", trace.words);
-    }
-    if trace.fires > 0 {
-        quva_obs::counter("sim.bitparallel.fires", trace.fires);
-    }
 }
 
 /// The lane mask selecting bits `lo..hi` of a word (`hi ≤ 64`,
@@ -180,34 +179,14 @@ fn lane_mask(lo: u64, hi: u64) -> u64 {
 /// `[start, start + len)`. Lane-words overlapping the range are
 /// evaluated in full — every draw is keyed by the global word index,
 /// so a word split across two chunks is computed identically by both
-/// and each counts only its own lanes. That is what makes the merged
-/// result independent of the chunking.
-fn run_chunk_bitparallel(table: &LaneTable, seed: u64, start: u64, len: u64) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    let end = start + len;
-    let mut successes = 0u64;
-    let mut scratch = bitparallel::Scratch::default();
-    for w in start / LANES..end.div_ceil(LANES) {
-        let lo = start.max(w * LANES) - w * LANES;
-        let hi = end.min((w + 1) * LANES) - w * LANES;
-        let fail = bitparallel::word_failures(table, chunk_seed(seed, w), &mut scratch);
-        successes += u64::from((!fail & lane_mask(lo, hi)).count_ones());
-    }
-    successes
-}
-
-/// [`run_chunk_bitparallel`] with fault attribution and kernel
-/// counters. Identical draws, identical masks, identical counts —
-/// only the bookkeeping differs (the contract shared with
-/// [`run_chunk_traced`]).
-fn run_chunk_bitparallel_traced(
+/// and each counts (and, traced, attributes) only its own lanes. That
+/// is what makes the merged result independent of the chunking.
+fn run_chunk_bitparallel<const TRACED: bool>(
     table: &LaneTable,
     seed: u64,
     start: u64,
     len: u64,
-    trace: &mut BpTrace,
+    tally: &mut Tally,
 ) -> u64 {
     if len == 0 {
         return 0;
@@ -219,14 +198,50 @@ fn run_chunk_bitparallel_traced(
         let lo = start.max(w * LANES) - w * LANES;
         let hi = end.min((w + 1) * LANES) - w * LANES;
         let lanes = lane_mask(lo, hi);
-        let fail = bitparallel::word_failures_traced(table, chunk_seed(seed, w), lanes, trace, &mut scratch);
+        let fail =
+            bitparallel::word_failures::<TRACED>(table, chunk_seed(seed, w), lanes, tally, &mut scratch);
         successes += u64::from((!fail & lanes).count_ones());
     }
     successes
 }
 
-/// Chunk-boundary progress accounting threaded through the injection
-/// loops. `done` is a shared cumulative counter, so each completed
+/// A run's trial kernel with its per-run tables built: what one chunk
+/// of the executor's loop runs.
+enum ChunkKernel<'a> {
+    Scalar {
+        events: &'a [f64],
+        classes: &'a [EventClass],
+    },
+    BitParallel(LaneTable),
+}
+
+impl<'a> ChunkKernel<'a> {
+    fn new(kernel: McKernel, profile: &'a FailureProfile) -> Self {
+        match kernel {
+            McKernel::Scalar => ChunkKernel::Scalar {
+                events: profile.active_events(),
+                classes: profile.active_event_classes(),
+            },
+            McKernel::BitParallel => ChunkKernel::BitParallel(LaneTable::new(profile)),
+        }
+    }
+
+    /// Successes among chunk `k`, which covers the global trial range
+    /// `[start, start + len)`.
+    fn run<const TRACED: bool>(&self, seed: u64, k: u64, start: u64, len: u64, tally: &mut Tally) -> u64 {
+        match self {
+            ChunkKernel::Scalar { events, classes } => {
+                run_chunk::<TRACED>(events, classes, len, chunk_seed(seed, k), tally)
+            }
+            ChunkKernel::BitParallel(table) => {
+                run_chunk_bitparallel::<TRACED>(table, seed, start, len, tally)
+            }
+        }
+    }
+}
+
+/// Chunk-boundary progress accounting threaded through the executor's
+/// chunk loop. `done` is a shared cumulative counter, so each completed
 /// chunk reports the *total* trials finished so far; with work
 /// stealing the callback may be invoked from several worker threads
 /// and invocation order is schedule-dependent (fold with `max` for a
@@ -354,11 +369,13 @@ impl McEngine {
         McEngine::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
     }
 
-    /// Overrides the trials-per-chunk granularity. Changing this picks
-    /// a *different* (still deterministic) sample: results are
-    /// bit-stable across thread counts for a fixed chunk size, not
-    /// across chunk sizes. Exposed for property tests and tuning; the
-    /// default suits every production path.
+    /// Overrides the trials-per-chunk granularity. Results are
+    /// bit-stable across thread counts for any fixed chunk size. The
+    /// default bit-parallel kernel is also invariant under the chunk
+    /// size (lane-major seeding); for the scalar kernel, changing it
+    /// picks a *different* (still deterministic) sample. Exposed for
+    /// property tests and tuning; the default suits every production
+    /// path.
     pub fn with_chunk_trials(mut self, chunk_trials: u64) -> Self {
         self.chunk_trials = chunk_trials.max(1);
         self
@@ -397,8 +414,8 @@ impl McEngine {
     ///
     /// Deterministic for a given `(trials, seed)`: the result is the
     /// same `McEstimate`, bit for bit, whatever `threads` is — and
-    /// whether or not the `quva-obs` recorder is enabled (the traced
-    /// path draws the identical RNG stream).
+    /// whether or not the `quva-obs` recorder is enabled (traced runs
+    /// execute the same loop, so they draw the identical RNG stream).
     ///
     /// When the recorder is on, each run contributes `sim.*` counters
     /// (`sim.trials`, `sim.chunks`, `sim.abort.<class>`, …) and
@@ -439,9 +456,9 @@ impl McEngine {
         progress: Option<&ProgressSink>,
     ) -> McEstimate {
         if quva_obs::enabled() {
-            self.run_traced(profile, trials, seed, progress)
+            self.execute::<true>(profile, trials, seed, progress)
         } else {
-            self.run_reference_with(profile, trials, seed, progress)
+            self.execute::<false>(profile, trials, seed, progress)
         }
     }
 
@@ -452,299 +469,90 @@ impl McEngine {
     /// baseline (the bit-parallel kernel runs at ~8 ns/trial, so a
     /// tighter bound would be below timing resolution).
     pub fn run_reference(&self, profile: &FailureProfile, trials: u64, seed: u64) -> McEstimate {
-        self.run_reference_with(profile, trials, seed, None)
+        self.execute::<false>(profile, trials, seed, None)
     }
 
-    fn run_reference_with(
+    /// The executor behind every run. Workers claim chunk indices from
+    /// a shared counter — chunk costs are uneven (an early fault aborts
+    /// a trial), so work stealing beats static striping — and the
+    /// result cannot depend on the schedule: chunk `k`'s draws are a
+    /// pure function of `(seed, k)` and the merge is integer addition.
+    /// One worker runs the same loop on the caller's thread, spawning
+    /// nothing.
+    ///
+    /// With `TRACED`, the run adds spans and deterministic counters.
+    /// Spawned workers record only u64 counters and flush before
+    /// exiting, so a drain after this returns sees schedule-independent
+    /// totals.
+    fn execute<const TRACED: bool>(
         &self,
         profile: &FailureProfile,
         trials: u64,
         seed: u64,
         progress: Option<&ProgressSink>,
     ) -> McEstimate {
-        match self.kernel {
-            McKernel::Scalar => self.run_reference_scalar(profile, trials, seed, progress),
-            McKernel::BitParallel => self.run_reference_bitparallel(profile, trials, seed, progress),
-        }
-    }
-
-    fn run_reference_scalar(
-        &self,
-        profile: &FailureProfile,
-        trials: u64,
-        seed: u64,
-        progress: Option<&ProgressSink>,
-    ) -> McEstimate {
-        let events = profile.active_events();
+        let _run = TRACED.then(|| quva_obs::span("sim", "sim.run"));
+        let kernel = ChunkKernel::new(self.kernel, profile);
         let chunks = trials.div_ceil(self.chunk_trials);
         let workers = (self.threads as u64).min(chunks);
-        if workers <= 1 {
-            // Caller-thread path: same chunking, same seeds, no spawn.
-            let successes = (0..chunks)
-                .map(|k| {
-                    let len = self.chunk_len(trials, k);
-                    let s = run_chunk(events, len, chunk_seed(seed, k));
-                    if let Some(p) = progress {
-                        p.chunk_done(len);
-                    }
-                    s
-                })
-                .sum();
-            return McEstimate::from_counts(successes, trials);
-        }
-
-        // Work-stealing over the chunk index: chunk costs are uneven
-        // (an early fault aborts a trial), so a shared counter beats
-        // static striping. The result cannot depend on the schedule —
-        // chunk k's seed is a pure function of (seed, k) and the merge
-        // is integer addition.
-        let next = AtomicU64::new(0);
-        let successes = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = 0u64;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= chunks {
-                                break;
-                            }
-                            let len = self.chunk_len(trials, k);
-                            local += run_chunk(events, len, chunk_seed(seed, k));
-                            if let Some(p) = progress {
-                                p.chunk_done(len);
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .sum()
-        });
-        McEstimate::from_counts(successes, trials)
-    }
-
-    fn run_reference_bitparallel(
-        &self,
-        profile: &FailureProfile,
-        trials: u64,
-        seed: u64,
-        progress: Option<&ProgressSink>,
-    ) -> McEstimate {
-        let table = LaneTable::new(profile);
-        let chunks = trials.div_ceil(self.chunk_trials);
-        let workers = (self.threads as u64).min(chunks);
-        if workers <= 1 {
-            let successes = (0..chunks)
-                .map(|k| {
-                    let len = self.chunk_len(trials, k);
-                    let s = run_chunk_bitparallel(&table, seed, k * self.chunk_trials, len);
-                    if let Some(p) = progress {
-                        p.chunk_done(len);
-                    }
-                    s
-                })
-                .sum();
-            return McEstimate::from_counts(successes, trials);
+        if TRACED {
+            quva_obs::counter("sim.runs", 1);
+            quva_obs::counter("sim.trials", trials);
+            quva_obs::counter("sim.chunks", chunks);
+            quva_obs::counter("sim.workers", workers.max(1));
+            if self.kernel == McKernel::BitParallel {
+                quva_obs::counter("sim.bitparallel.runs", 1);
+            }
         }
 
         let next = AtomicU64::new(0);
-        let table = &table;
-        let successes = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = 0u64;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= chunks {
-                                break;
-                            }
-                            let len = self.chunk_len(trials, k);
-                            local += run_chunk_bitparallel(table, seed, k * self.chunk_trials, len);
-                            if let Some(p) = progress {
-                                p.chunk_done(len);
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .sum()
-        });
-        McEstimate::from_counts(successes, trials)
-    }
-
-    /// The instrumented twin of [`Self::run_reference`]: same chunking,
-    /// same seeds, same RNG draws, plus spans and deterministic
-    /// counters. Worker threads record only u64 counters and flush
-    /// before exiting, so a drain after this returns sees
-    /// schedule-independent totals.
-    fn run_traced(
-        &self,
-        profile: &FailureProfile,
-        trials: u64,
-        seed: u64,
-        progress: Option<&ProgressSink>,
-    ) -> McEstimate {
-        match self.kernel {
-            McKernel::Scalar => self.run_traced_scalar(profile, trials, seed, progress),
-            McKernel::BitParallel => self.run_traced_bitparallel(profile, trials, seed, progress),
-        }
-    }
-
-    fn run_traced_scalar(
-        &self,
-        profile: &FailureProfile,
-        trials: u64,
-        seed: u64,
-        progress: Option<&ProgressSink>,
-    ) -> McEstimate {
-        let _run = quva_obs::span("sim", "sim.run");
-        let events = profile.active_events();
-        let classes = profile.active_event_classes();
-        let chunks = trials.div_ceil(self.chunk_trials);
-        let workers = (self.threads as u64).min(chunks);
-        quva_obs::counter("sim.runs", 1);
-        quva_obs::counter("sim.trials", trials);
-        quva_obs::counter("sim.chunks", chunks);
-        quva_obs::counter("sim.workers", workers.max(1));
-
-        if workers <= 1 {
+        let claim_chunks = || {
+            let mut tally = Tally::default();
             let mut successes = 0u64;
-            let mut aborts = [0u64; 5];
-            for k in 0..chunks {
-                let _chunk = quva_obs::span("sim", "sim.chunk");
+            loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= chunks {
+                    break;
+                }
+                let _chunk = TRACED.then(|| quva_obs::span("sim", "sim.chunk"));
                 let len = self.chunk_len(trials, k);
-                successes += run_chunk_traced(events, classes, len, chunk_seed(seed, k), &mut aborts);
+                successes += kernel.run::<TRACED>(seed, k, k * self.chunk_trials, len, &mut tally);
                 if let Some(p) = progress {
                     p.chunk_done(len);
                 }
             }
-            record_aborts(&aborts);
-            return McEstimate::from_counts(successes, trials);
-        }
-
-        let next = AtomicU64::new(0);
-        let successes: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = 0u64;
-                        let mut aborts = [0u64; 5];
-                        {
-                            let _worker = quva_obs::span("sim", "sim.worker");
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= chunks {
-                                    break;
-                                }
-                                let _chunk = quva_obs::span("sim", "sim.chunk");
-                                let len = self.chunk_len(trials, k);
-                                local +=
-                                    run_chunk_traced(events, classes, len, chunk_seed(seed, k), &mut aborts);
-                                if let Some(p) = progress {
-                                    p.chunk_done(len);
-                                }
-                            }
-                        }
-                        record_aborts(&aborts);
-                        // TLS destructors may lag a scope join: merge now
-                        // so the caller's drain sees this worker
-                        quva_obs::flush();
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .sum()
-        });
-        McEstimate::from_counts(successes, trials)
-    }
-
-    fn run_traced_bitparallel(
-        &self,
-        profile: &FailureProfile,
-        trials: u64,
-        seed: u64,
-        progress: Option<&ProgressSink>,
-    ) -> McEstimate {
-        let _run = quva_obs::span("sim", "sim.run");
-        let table = LaneTable::new(profile);
-        let chunks = trials.div_ceil(self.chunk_trials);
-        let workers = (self.threads as u64).min(chunks);
-        quva_obs::counter("sim.runs", 1);
-        quva_obs::counter("sim.trials", trials);
-        quva_obs::counter("sim.chunks", chunks);
-        quva_obs::counter("sim.workers", workers.max(1));
-        quva_obs::counter("sim.bitparallel.runs", 1);
-
-        if workers <= 1 {
-            let mut successes = 0u64;
-            let mut trace = BpTrace::default();
-            for k in 0..chunks {
-                let _chunk = quva_obs::span("sim", "sim.chunk");
-                let len = self.chunk_len(trials, k);
-                successes +=
-                    run_chunk_bitparallel_traced(&table, seed, k * self.chunk_trials, len, &mut trace);
-                if let Some(p) = progress {
-                    p.chunk_done(len);
-                }
+            if TRACED {
+                tally.record();
             }
-            record_bp_trace(&trace);
-            return McEstimate::from_counts(successes, trials);
-        }
+            successes
+        };
 
-        let next = AtomicU64::new(0);
-        let table = &table;
-        let successes: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = 0u64;
-                        let mut trace = BpTrace::default();
-                        {
-                            let _worker = quva_obs::span("sim", "sim.worker");
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= chunks {
-                                    break;
-                                }
-                                let _chunk = quva_obs::span("sim", "sim.chunk");
-                                let len = self.chunk_len(trials, k);
-                                local += run_chunk_bitparallel_traced(
-                                    table,
-                                    seed,
-                                    k * self.chunk_trials,
-                                    len,
-                                    &mut trace,
-                                );
-                                if let Some(p) = progress {
-                                    p.chunk_done(len);
-                                }
+        let successes = if workers <= 1 {
+            claim_chunks()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let successes = {
+                                let _worker = TRACED.then(|| quva_obs::span("sim", "sim.worker"));
+                                claim_chunks()
+                            };
+                            if TRACED {
+                                // TLS destructors may lag a scope join: merge
+                                // now so the caller's drain sees this worker
+                                quva_obs::flush();
                             }
-                        }
-                        record_bp_trace(&trace);
-                        // TLS destructors may lag a scope join: merge now
-                        // so the caller's drain sees this worker
-                        quva_obs::flush();
-                        local
+                            successes
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .sum()
-        });
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .sum()
+            })
+        };
         McEstimate::from_counts(successes, trials)
     }
 }

@@ -62,9 +62,7 @@ pub use density::{DensityMatrix, MAX_DENSITY_QUBITS};
 pub use engine::{McEngine, McKernel, DEFAULT_CHUNK_TRIALS};
 pub use error::SimError;
 pub use exact::exact_noisy_distribution;
-pub use montecarlo::{
-    monte_carlo_pst, monte_carlo_pst_progress, monte_carlo_pst_with, run_trials, McEstimate,
-};
+pub use montecarlo::{monte_carlo_pst, monte_carlo_pst_progress, monte_carlo_pst_with, McEstimate};
 pub use noisy::{run_noisy_trials, TrialOutcomes};
 pub use profile::{CoherenceModel, EventClass, FailureProfile};
 pub use statevector::{matrix_of, StateVector, MAX_STATEVECTOR_QUBITS};

@@ -150,15 +150,6 @@ pub fn monte_carlo_pst_progress(
     Ok(engine.run_with_progress(&profile, trials, seed, progress))
 }
 
-/// Runs the injection loop against a prebuilt [`FailureProfile`] —
-/// useful when sweeping trial counts over the same circuit.
-///
-/// Single-threaded reference path: identical, bit for bit, to
-/// [`McEngine::run`] at any thread count.
-pub fn run_trials(profile: &FailureProfile, trials: u64, seed: u64) -> McEstimate {
-    McEngine::sequential().run(profile, trials, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
