@@ -11,8 +11,9 @@
 use quva::CompiledCircuit;
 use quva_circuit::Circuit;
 use quva_device::Device;
+use quva_obs::json_escape;
 
-use crate::diagnostic::{escape_json, Report};
+use crate::diagnostic::Report;
 use crate::pass::PassRegistry;
 use crate::passes::decoherence::idle_exposure;
 use crate::passes::esp::{
@@ -166,7 +167,7 @@ impl AuditReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", escape_json(p)));
+            out.push_str(&format!("\"{}\"", json_escape(p)));
         }
         out.push_str("]\n}\n");
         out

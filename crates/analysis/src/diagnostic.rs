@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use quva_obs::json_escape;
+
 /// How serious a diagnostic is.
 ///
 /// The severity policy is fixed per [`LintCode`] (see
@@ -555,7 +557,7 @@ impl Diagnostic {
             self.code.name(),
             self.severity(),
             span,
-            escape_json(&self.message)
+            json_escape(&self.message)
         )
     }
 }
@@ -705,7 +707,7 @@ impl Report {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\"", escape_json(p)));
+            out.push_str(&format!("\"{}\"", json_escape(p)));
         }
         out.push_str("]\n}\n");
         out
@@ -718,23 +720,6 @@ impl Report {
     pub(crate) fn extend(&mut self, diagnostics: Vec<Diagnostic>) {
         self.diagnostics.extend(diagnostics);
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

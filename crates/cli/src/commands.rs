@@ -6,11 +6,13 @@ use std::fmt::Write as _;
 use quva::{partition_analysis, CompileOptions, MappingPolicy, PartitionChoice};
 use quva_analysis::Verifier;
 use quva_circuit::{qasm, Circuit};
-use quva_device::{node_strengths, snapshot, Device, SanitizePolicy};
+use quva_device::{node_strengths, Device, SanitizePolicy};
+use quva_obs::json_escape;
 use quva_sim::{monte_carlo_pst_with, run_noisy_trials, CoherenceModel, McEngine, McKernel};
 use quva_stats::{fmt3, Table};
 
 use crate::args::{ArgsError, ParsedArgs};
+use crate::snapshot;
 use crate::spec::{parse_benchmark, parse_device, parse_policy};
 
 /// Top-level dispatch: runs one subcommand and returns its report text.
@@ -334,6 +336,17 @@ fn load_device(args: &ParsedArgs, default_spec: &str) -> Result<Device, ArgsErro
         .map_err(|e| ArgsError::new(format!("{path} does not fit the device: {e}")))
 }
 
+/// The `program` and `device` members a JSON report opens with. Both
+/// echo user input (a `--qasm` path may hold quotes), so both are
+/// escaped.
+fn json_subject(name: &str, args: &ParsedArgs) -> String {
+    format!(
+        "  \"program\": \"{}\",\n  \"device\": \"{}\",\n",
+        json_escape(name),
+        json_escape(args.get_or("device", "q20"))
+    )
+}
+
 fn cmd_compile(args: &ParsedArgs) -> Result<String, ArgsError> {
     let (device, policy, name, mut program) = load_setup(args)?;
     let mut removed = 0;
@@ -547,8 +560,7 @@ fn cmd_pipeline_compare(args: &ParsedArgs) -> Result<String, ArgsError> {
         "json" => {
             let mut out = String::new();
             out.push_str("{\n");
-            let _ = writeln!(out, "  \"program\": \"{name}\",");
-            let _ = writeln!(out, "  \"device\": \"{}\",", args.get_or("device", "q20"));
+            out.push_str(&json_subject(&name, args));
             let _ = writeln!(out, "  \"policy\": \"{}\",", policy.name());
             let _ = writeln!(out, "  \"width\": {width},");
             let _ = writeln!(out, "  \"baseline_esp_point\": {baseline_esp},");
@@ -685,9 +697,10 @@ fn cmd_audit(args: &ParsedArgs) -> Result<String, ArgsError> {
 
     let rendered = match args.get_or("format", "text") {
         "json" => {
+            let spec = json_escape(args.get_or("device", "q20"));
             let mut extras: Vec<(&str, String)> = vec![
-                ("program", format!("\"{name}\"")),
-                ("device", format!("\"{}\"", args.get_or("device", "q20"))),
+                ("program", format!("\"{}\"", json_escape(&name))),
+                ("device", format!("\"{spec}\"")),
                 ("policy", format!("\"{}\"", policy.name())),
                 ("drift", drift.to_string()),
             ];
@@ -798,8 +811,7 @@ fn cmd_cost(args: &ParsedArgs) -> Result<String, ArgsError> {
                 format!("{{\"lo\": {lo}, \"hi\": {hi}}}")
             };
             let mut out = String::from("{\n");
-            let _ = writeln!(out, "  \"program\": \"{name}\",");
-            let _ = writeln!(out, "  \"device\": \"{}\",", args.get_or("device", "q20"));
+            out.push_str(&json_subject(&name, args));
             let _ = writeln!(out, "  \"trials\": {trials},");
             let _ = writeln!(out, "  \"ns_per_event\": {},", model.ns_per_event);
             let _ = writeln!(
@@ -968,8 +980,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, ArgsError> {
     // Hand-rolled JSON (vendor policy: no serde). Floats use Rust's
     // shortest-roundtrip Display — platform-independent bytes.
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"program\": \"{name}\",");
-    let _ = writeln!(out, "  \"device\": \"{}\",", args.get_or("device", "q20"));
+    out.push_str(&json_subject(&name, args));
     let _ = writeln!(out, "  \"policy\": \"{}\",", policy.name());
     let _ = writeln!(out, "  \"inserted_swaps\": {},", compiled.inserted_swaps());
     let _ = writeln!(out, "  \"trials\": {trials},");
@@ -1617,6 +1628,38 @@ mod tests {
         assert!(out.contains("\"pst\":"), "{out}");
         assert!(out.contains("\"successes\":"), "{out}");
         assert!(out.contains("\"seed\": 7"), "{out}");
+    }
+
+    #[test]
+    fn json_reports_escape_the_echoed_qasm_path() {
+        let dir = std::env::temp_dir().join("quva-cli-escape-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bv \"4\" \\ copy.qasm");
+        std::fs::write(
+            &path,
+            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n",
+        )
+        .unwrap();
+        let path_str = path.to_str().unwrap();
+        let common = ["--device", "q5", "--policy", "baseline", "--qasm", path_str];
+        for command in [
+            &["simulate", "--trials", "1000"][..],
+            &["audit", "--format", "json"],
+            &["cost", "--format", "json"],
+            &["pipeline", "--compare", "--format", "json"],
+        ] {
+            let out = run_line(&[command, &common].concat()).unwrap();
+            let doc = quva_obs::parse_json(&out).unwrap_or_else(|e| panic!("{command:?}: {e}\n{out}"));
+            assert_eq!(
+                doc.get("program").and_then(quva_obs::JsonValue::as_str),
+                Some(path_str)
+            );
+            assert_eq!(
+                doc.get("device").and_then(quva_obs::JsonValue::as_str),
+                Some("q5")
+            );
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -42,6 +42,7 @@
 
 pub mod args;
 pub mod commands;
+pub mod snapshot;
 pub mod spec;
 
 /// The boolean switches every subcommand recognizes: `--stats`,

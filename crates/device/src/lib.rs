@@ -35,7 +35,6 @@ mod device;
 mod distances;
 mod layouts;
 mod log;
-pub mod snapshot;
 mod strength;
 mod topology;
 pub mod validate;
@@ -47,7 +46,6 @@ pub use calibration::{Calibration, CalibrationError, GateDurations};
 pub use device::Device;
 pub use distances::{HopMatrix, ReliabilityMatrix, UNREACHABLE_HOPS};
 pub use log::CalibrationLog;
-pub use snapshot::SnapshotError;
 pub use strength::{
     best_region, candidate_regions, k_core_numbers, node_strengths, region_internal_success,
     strongest_subgraph, try_strongest_subgraph,

@@ -1,10 +1,14 @@
-//! Minimal JSON parsing and Chrome `trace_event` validation.
+//! The workspace's one JSON reader and string escaper, plus Chrome
+//! `trace_event` validation.
 //!
-//! The workspace vendors no serde; this recursive-descent parser covers
-//! exactly what trace validation needs (objects, arrays, strings,
-//! numbers, booleans, null) and powers the CI `observability` job's
-//! structural checks: every event well-typed, no negative durations,
-//! and complete (`X`) spans properly nested per thread.
+//! The workspace vendors no serde. This recursive-descent parser covers
+//! objects, arrays, strings, numbers, booleans and null. [`parse_json`]
+//! is strict and reads quvad frames and traces; [`parse_json_lenient`]
+//! also reads the `NaN` / `Infinity` literals of calibration snapshots.
+//! Every parse error names its byte offset. The same parser powers the
+//! CI `observability` job's structural checks: every event well-typed,
+//! no negative durations, and complete (`X`) spans properly nested per
+//! thread.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -69,175 +73,245 @@ impl JsonValue {
     }
 }
 
-/// Maximum container nesting depth [`parse_json`] accepts. Inputs may
-/// come from untrusted sources (network frames, on-disk traces); the
-/// recursive-descent parser must return an error on `[[[[…` bombs
-/// instead of overflowing the stack, which would abort the process.
+/// Maximum container nesting depth the parsers accept. Inputs may come
+/// from untrusted sources (network frames, on-disk traces and
+/// calibration snapshots); the recursive-descent parser must return an
+/// error on `[[[[…` bombs instead of overflowing the stack, which would
+/// abort the process.
 pub const MAX_JSON_DEPTH: usize = 64;
 
 /// Parses a complete JSON document. Errors carry a byte offset.
 /// Container nesting beyond [`MAX_JSON_DEPTH`] is a parse error.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
+    Parser::parse(text, false)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// [`parse_json`], but also reading the non-standard `NaN`, `Infinity`
+/// and `-Infinity` literals as numbers: the spellings calibration feeds
+/// use for non-finite values. Network frames and traces go through the
+/// strict [`parse_json`], which rejects them.
+pub fn parse_json_lenient(text: &str) -> Result<JsonValue, String> {
+    Parser::parse(text, true)
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    if depth > MAX_JSON_DEPTH {
-        return Err(format!(
-            "nesting depth exceeds {MAX_JSON_DEPTH} at byte {pos}",
-            pos = *pos
-        ));
-    }
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, pos, depth),
-        Some(b'[') => parse_arr(bytes, pos, depth),
-        Some(b'"') => Ok(JsonValue::Str(parse_str(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_num(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len() && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8 number".to_string())?;
-    text.parse::<f64>()
-        .map(JsonValue::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-}
-
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+/// Escapes a string for embedding in a JSON string literal (the quotes
+/// themselves are the caller's).
+pub fn json_escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // copy a full utf-8 scalar, not a byte
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "non-utf8 string".to_string())?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            c => out.push(c),
         }
     }
+    out
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
+/// Recursive-descent reader over one document. `pos` is a byte offset
+/// that only ever stops on a char boundary: it advances over ASCII
+/// bytes, or over whole string runs that end before an ASCII byte.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Accept `NaN`, `Infinity` and `-Infinity` as numbers.
+    lenient: bool,
+}
+
+impl Parser<'_> {
+    fn parse(text: &str, lenient: bool) -> Result<JsonValue, String> {
+        let mut p = Parser {
+            text,
+            pos: 0,
+            lenient,
+        };
+        let value = p.value(0)?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.err("trailing data"));
+        }
+        Ok(value)
     }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
+
+    fn err(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.pos)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace, then consumes `lit` if the input continues
+    /// with it.
+    fn eat(&mut self, lit: &str) -> bool {
+        self.skip_ws();
+        let hit = self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes());
+        if hit {
+            self.pos += lit.len();
+        }
+        hit
+    }
+
+    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
+        self.skip_ws();
+        if depth > MAX_JSON_DEPTH {
+            return Err(self.err(&format!("nesting depth exceeds {MAX_JSON_DEPTH}")));
+        }
+        match self.peek() {
+            None => Err(self.err("unexpected end of input")),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => self.string().map(JsonValue::Str),
+            Some(b't') if self.eat("true") => Ok(JsonValue::Bool(true)),
+            Some(b'f') if self.eat("false") => Ok(JsonValue::Bool(false)),
+            Some(b'n') if self.eat("null") => Ok(JsonValue::Null),
+            Some(b't' | b'f' | b'n') => Err(self.err("invalid literal")),
+            _ if self.lenient && self.eat("NaN") => Ok(JsonValue::Num(f64::NAN)),
+            _ if self.lenient && self.eat("Infinity") => Ok(JsonValue::Num(f64::INFINITY)),
+            _ if self.lenient && self.eat("-Infinity") => Ok(JsonValue::Num(f64::NEG_INFINITY)),
+            Some(_) => self.number(),
+        }
+    }
+
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        text.parse::<f64>()
+            .map(JsonValue::Num)
+            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        self.pos += 1; // '"'
+        let mut out = String::new();
+        loop {
+            // copy the run up to the next '"' or '\' whole: both are
+            // ASCII, so the run ends on a char boundary, and each byte is
+            // read once however long the string
+            let run = self.pos;
+            while !matches!(bytes.get(self.pos), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&text[run..self.pos]);
+            match bytes.get(self.pos) {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                _ => self.pos += 1, // '\'
+            }
+            let c = match bytes.get(self.pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{0008}',
+                Some(b'f') => '\u{000c}',
+                Some(b'u') => self.unicode_escape()?,
+                _ => return Err(self.err("bad escape")),
+            };
+            out.push(c);
+            self.pos += 1;
+        }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `pos`, leaving `pos`
+    /// on its last hex digit. A high surrogate followed by a `\u` low
+    /// surrogate decodes to the one scalar the UTF-16 pair encodes (the
+    /// way Python's `json.dumps` writes non-BMP text); a lone surrogate
+    /// decodes to U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let unit = self.hex4()?;
+        if (0xd800..0xdc00).contains(&unit)
+            && self.text.as_bytes().get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+        {
+            let high_end = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xdc00..0xe000).contains(&low) {
+                let scalar = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
+                return Ok(char::from_u32(scalar).unwrap_or('\u{fffd}'));
+            }
+            // not a pair: the second escape decodes on its own
+            self.pos = high_end;
+        }
+        Ok(char::from_u32(unit).unwrap_or('\u{fffd}'))
+    }
+
+    /// Reads the four hex digits after the `u` at `pos` and leaves `pos`
+    /// on the last one.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .text
+            .as_bytes()
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let unit = digits
+            .iter()
+            .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(unit)
+    }
+
+    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
+        self.pos += 1; // '['
+        let mut items = Vec::new();
+        if self.eat("]") {
+            return Ok(JsonValue::Arr(items));
+        }
+        loop {
+            items.push(self.value(depth + 1)?);
+            if self.eat("]") {
                 return Ok(JsonValue::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+            if !self.eat(",") {
+                return Err(self.err("expected ',' or ']'"));
+            }
         }
     }
-}
 
-fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // '{'
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
+    fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
+        self.pos += 1; // '{'
+        let mut members = Vec::new();
+        if self.eat("}") {
+            return Ok(JsonValue::Obj(members));
         }
-        let key = parse_str(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(self.err("expected object key"));
+            }
+            let key = self.string()?;
+            if !self.eat(":") {
+                return Err(self.err("expected ':'"));
+            }
+            members.push((key, self.value(depth + 1)?));
+            if self.eat("}") {
                 return Ok(JsonValue::Obj(members));
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+            if !self.eat(",") {
+                return Err(self.err("expected ',' or '}'"));
+            }
         }
     }
 }
@@ -416,14 +490,100 @@ mod tests {
             doc.get("b").and_then(|b| b.get("c")).and_then(JsonValue::as_f64),
             Some(300.0)
         );
+        for (text, want) in [
+            (r#""a\n\"bA""#, "a\n\"bA"),
+            (r#""\u0041\/\b\f\\""#, "A/\u{8}\u{c}\\"),
+            ("\"h\u{e9}llo \u{1f389}\"", "h\u{e9}llo \u{1f389}"),
+        ] {
+            assert_eq!(parse_json(text), Ok(JsonValue::Str(want.to_string())), "{text}");
+        }
     }
 
     #[test]
     fn rejects_malformed_documents() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json(r#"{"a": }"#).is_err());
-        assert!(parse_json(r#"{"a": 1} trailing"#).is_err());
-        assert!(parse_json(r#""unterminated"#).is_err());
+        // every error names its byte offset
+        for (text, want) in [
+            ("", "unexpected end of input at byte 0"),
+            ("[1, ", "unexpected end of input at byte 4"),
+            (r#"{"k": "ab"#, "unterminated string at byte 9"),
+        ] {
+            assert_eq!(parse_json(text).unwrap_err(), want);
+        }
+        for text in [
+            "{",
+            r#"{"a": }"#,
+            r#"{"a": 1} trailing"#,
+            r#""unterminated"#,
+            "[1 2]",
+            r#"{"a" 1}"#,
+            "nul",
+            "-x",
+            r#""\q""#,
+            r#""\u12""#,
+            r#""\u12zz""#,
+            r#""\ud83c\u12""#,
+            "NaN",
+            "-Infinity",
+        ] {
+            let err = parse_json(text).unwrap_err();
+            assert!(err.contains(" at byte "), "{text:?} -> {err}");
+        }
+    }
+
+    #[test]
+    fn lenient_parser_reads_non_finite_literals() {
+        let doc = parse_json_lenient("[NaN, Infinity, -Infinity, -1.5, null]").unwrap();
+        let nums: Vec<Option<f64>> = doc.as_arr().unwrap().iter().map(JsonValue::as_f64).collect();
+        assert!(nums[0].unwrap().is_nan());
+        assert_eq!(
+            &nums[1..],
+            [Some(f64::INFINITY), Some(f64::NEG_INFINITY), Some(-1.5), None]
+        );
+        assert!(parse_json("[NaN]").is_err());
+        assert!(parse_json("[Infinity]").is_err());
+        assert!(parse_json_lenient("[Inf]").is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let str_of = |text: &str| parse_json(text).unwrap().as_str().unwrap().to_string();
+        // Python's json.dumps("🎉")
+        assert_eq!(str_of(r#""\ud83c\udf89""#), "\u{1f389}");
+        assert_eq!(str_of(r#""\uD83C\uDF89!""#), "\u{1f389}!");
+        // a lone surrogate, of either half, is U+FFFD
+        assert_eq!(str_of(r#""\ud83c""#), "\u{fffd}");
+        assert_eq!(str_of(r#""\ud83cx""#), "\u{fffd}x");
+        assert_eq!(str_of(r#""\udf89\ud83c""#), "\u{fffd}\u{fffd}");
+        // a high surrogate before a non-surrogate escape: both decode
+        assert_eq!(str_of(r#""\ud83c\u0041""#), "\u{fffd}A");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "x".repeat(1 << 20);
+        let start = std::time::Instant::now();
+        let doc = parse_json(&format!("{{\"s\": \"{body}\"}}")).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(doc.get("s").and_then(JsonValue::as_str), Some(body.as_str()));
+        assert!(elapsed.as_secs_f64() < 2.0, "1 MiB string took {elapsed:?}");
+    }
+
+    #[test]
+    fn escaped_strings_roundtrip() {
+        for text in [
+            "plain",
+            "a \"quoted\"\nline\\path",
+            "tab\there\r\u{1}\u{1f}",
+            "\u{e9}\u{1f389}",
+        ] {
+            let escaped = json_escape(text);
+            assert!(!escaped.chars().any(|c| (c as u32) < 0x20), "{escaped:?}");
+            assert_eq!(
+                parse_json(&format!("\"{escaped}\"")),
+                Ok(JsonValue::Str(text.to_string()))
+            );
+        }
+        assert_eq!(json_escape("a\"b\\c\u{1}"), r#"a\"b\\c\u0001"#);
     }
 
     #[test]

@@ -61,7 +61,10 @@ pub mod flight;
 mod json;
 mod trace;
 
-pub use json::{parse_json, schema_summary, validate_chrome_trace, JsonValue, TraceStats, MAX_JSON_DEPTH};
+pub use json::{
+    json_escape, parse_json, parse_json_lenient, schema_summary, validate_chrome_trace, JsonValue,
+    TraceStats, MAX_JSON_DEPTH,
+};
 pub use trace::{Histogram, SpanRecord, TraceReport, WarnRecord};
 
 use std::cell::RefCell;

@@ -4,6 +4,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json_escape;
+
 /// A closed span: one Chrome `X` (complete) event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
@@ -237,26 +239,9 @@ impl TraceReport {
     }
 }
 
-/// JSON string literal with escaping for quotes, backslashes, and
-/// control characters.
+/// JSON string literal: `s` escaped by [`json_escape`] and quoted.
 pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", json_escape(s))
 }
 
 /// JSON number: finite floats as shortest-roundtrip decimal; non-finite

@@ -26,9 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use quva_obs::flight;
-
-use crate::protocol::json_escape;
+use quva_obs::{flight, json_escape};
 
 /// The anomaly triggers, sorted; `counts` and the
 /// `quvad_dumps_total{trigger=…}` exposition lines follow this order.

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use crate::protocol::json_escape;
+use quva_obs::json_escape;
 
 /// Fixed key order of one journal record, kept in lockstep with the
 /// DESIGN.md §17 table by the `doc_sync` test.

@@ -32,7 +32,7 @@
 //! frames carry `event`, never `status`, so a client matching on
 //! `status` skips them safely; the id keys them to their job.
 
-use quva_obs::parse_json;
+use quva_obs::{json_escape, parse_json};
 
 /// Upper bound on an accepted request line. Longer frames are rejected
 /// before parsing — a malformed or hostile client cannot balloon
@@ -279,23 +279,6 @@ pub fn progress_frame(id: &str, done: u64, total: u64) -> String {
     )
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One response line (without the trailing newline).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
@@ -461,6 +444,15 @@ mod tests {
         let doc = parse_json(&frame).unwrap();
         assert_eq!(doc.get("event").and_then(|v| v.as_str()), Some("progress"));
         assert!(doc.get("status").is_none(), "progress frames never carry status");
+    }
+
+    #[test]
+    fn escaped_non_bmp_ids_echo_back_unchanged() {
+        // Python's json.dumps writes "🎉" as a UTF-16 surrogate pair
+        let r = parse_request(r#"{"id":"\ud83c\udf89","kind":"ping"}"#).unwrap();
+        assert_eq!(r.id, "\u{1f389}");
+        let echoed = parse_json(&progress_frame(&r.id, 1, 2)).unwrap();
+        assert_eq!(echoed.get("id").and_then(|v| v.as_str()), Some("\u{1f389}"));
     }
 
     #[test]

@@ -37,6 +37,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use quva_analysis::{envelope_of, CostModel};
+use quva_obs::json_escape;
 use quva_sim::{McEngine, McKernel};
 
 use crate::cache::ResultCache;
@@ -46,7 +47,7 @@ use crate::expo::{self, LatencyRecorder};
 use crate::journal::{Journal, JournalRecord};
 use crate::metrics::ServeMetrics;
 use crate::protocol::{
-    json_escape, parse_request, progress_frame, JobKind, JobSpec, RequestKind, Response, MAX_FRAME_BYTES,
+    parse_request, progress_frame, JobKind, JobSpec, RequestKind, Response, MAX_FRAME_BYTES,
 };
 use crate::queue::{BoundedQueue, Pop, Push};
 
