@@ -21,9 +21,10 @@
 //!   intervals, decoherence exposure, missed-VQM routes, weak-region
 //!   allocations.
 //! - **The [`Verifier`]**, which bundles the standard registry and plugs
-//!   into `MappingPolicy::compile_with` via [`quva::CompileAudit`]; the
+//!   into `MappingPolicy::compile_with` via [`quva::CompileAudit`],
+//!   running there only the passes that can report an error; the
 //!   [`audit_compiled`] entry point adds the reliability report
-//!   (ESP bound + attribution) on top of verification.
+//!   (ESP bound + attribution) on top of full verification.
 //!
 //! Severity policy: `QV0xx` codes are [`Severity::Error`] — the artifact
 //! is illegal or semantically wrong and verification fails. `QV1xx`,
@@ -102,6 +103,12 @@ use quva_device::Device;
 /// The standard verifier: every built-in pass, usable directly or as a
 /// [`quva::CompileAudit`] plugged into `MappingPolicy::compile_with`.
 ///
+/// [`Verifier::verify`] and [`Verifier::lint`] run every pass and
+/// report every finding. As a `CompileAudit` it only decides accept or
+/// reject, so it runs just the passes that can report an error
+/// ([`PassRegistry::verify_errors`]): the verdict is the full report's
+/// [`Report::is_clean`], and a rejection lists those passes' findings.
+///
 /// # Examples
 ///
 /// ```
@@ -162,7 +169,7 @@ impl Verifier {
 
 impl CompileAudit for Verifier {
     fn audit(&self, source: &Circuit, device: &Device, compiled: &CompiledCircuit) -> Result<(), String> {
-        let report = self.verify(source, device, compiled);
+        let report = self.registry.verify_errors(source, device, compiled);
         if report.is_clean() {
             Ok(())
         } else {

@@ -7,7 +7,7 @@ use quva::CompiledCircuit;
 use quva_circuit::Circuit;
 use quva_device::Device;
 
-use crate::diagnostic::{Diagnostic, Report};
+use crate::diagnostic::{Diagnostic, LintCode, Report, Severity};
 use crate::passes;
 
 /// A static pass over a *logical* (program) circuit, optionally aware
@@ -42,6 +42,11 @@ pub struct CompiledContext<'a> {
 pub trait CompiledPass: Send + Sync {
     /// The stable pass name shown in reports.
     fn name(&self) -> &'static str;
+    /// Every code the pass can emit. [`PassRegistry::verify_errors`]
+    /// runs the pass only when one of them is [`Severity::Error`], so
+    /// a code missing here can hide an error from compile-time
+    /// verification.
+    fn codes(&self) -> &'static [LintCode];
     /// Runs the pass, appending any findings to `out`.
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>);
 }
@@ -131,7 +136,12 @@ impl PassRegistry {
 
     /// The registered compiled-pass names, in run order.
     pub fn compiled_pass_names(&self) -> Vec<&'static str> {
-        self.compiled.iter().map(|p| p.name()).collect()
+        self.compiled_passes().map(|p| p.name()).collect()
+    }
+
+    /// The registered compiled-output passes, in run order.
+    pub fn compiled_passes(&self) -> impl Iterator<Item = &dyn CompiledPass> {
+        self.compiled.iter().map(|p| p.as_ref())
     }
 
     /// Runs every circuit-level pass over a logical circuit. Passing a
@@ -150,13 +160,34 @@ impl PassRegistry {
 
     /// Runs every compiled-output pass over a compiled circuit.
     pub fn verify(&self, source: &Circuit, device: &Device, compiled: &CompiledCircuit) -> Report {
+        self.run_compiled(source, device, compiled, |_| true)
+    }
+
+    /// Runs only the compiled-output passes that can report an error:
+    /// those declaring an error-severity code in [`CompiledPass::codes`].
+    /// Every other pass emits warnings only, so this report is clean
+    /// exactly when [`PassRegistry::verify`]'s is, at a fraction of
+    /// the cost.
+    pub fn verify_errors(&self, source: &Circuit, device: &Device, compiled: &CompiledCircuit) -> Report {
+        self.run_compiled(source, device, compiled, |pass| {
+            pass.codes().iter().any(|c| c.severity() == Severity::Error)
+        })
+    }
+
+    fn run_compiled(
+        &self,
+        source: &Circuit,
+        device: &Device,
+        compiled: &CompiledCircuit,
+        selected: impl Fn(&dyn CompiledPass) -> bool,
+    ) -> Report {
         let cx = CompiledContext {
             source,
             device,
             compiled,
         };
         let mut report = Report::default();
-        for pass in &self.compiled {
+        for pass in self.compiled_passes().filter(|&p| selected(p)) {
             let mut out = Vec::new();
             pass.run(&cx, &mut out);
             report.record_pass(pass.name());
@@ -194,6 +225,41 @@ mod tests {
         assert!(r.compiled_pass_names().contains(&"coupler-legality"));
         assert!(r.compiled_pass_names().contains(&"permutation-consistency"));
         assert!(r.compiled_pass_names().len() >= 4);
+        // every error code has a compiled pass that declares it, so
+        // `verify_errors` can never skip an error check; the QV5xx block
+        // is exempt because `check_pipeline` emits it before compiling
+        for code in LintCode::ALL {
+            if code.severity() == Severity::Error && !code.code().starts_with("QV5") {
+                assert!(
+                    r.compiled_passes().any(|p| p.codes().contains(&code)),
+                    "no compiled pass declares {}",
+                    code.code()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn verify_errors_runs_only_the_passes_that_can_fail() {
+        let device = Device::new(quva_device::Topology::linear(2), |t| {
+            quva_device::Calibration::uniform(t, 0.02, 0.001, 0.02)
+        });
+        let mut source = Circuit::new(2);
+        source.cnot(Qubit(0), Qubit(1));
+        let physical = source.map_qubits(2, |q| quva_circuit::PhysQubit(q.0));
+        let mapping = quva::Mapping::identity(2, 2);
+        let compiled = CompiledCircuit::from_parts(physical, mapping.clone(), mapping, 0);
+        let report = PassRegistry::standard().verify_errors(&source, &device, &compiled);
+        assert_eq!(
+            report.passes(),
+            [
+                "coupler-legality",
+                "permutation-consistency",
+                "physical-liveness",
+                "calibration-sanity"
+            ]
+        );
+        assert!(report.is_clean(), "{}", report.render_text());
     }
 
     #[test]

@@ -37,6 +37,10 @@ impl CompiledPass for CompiledCalibrationSanity {
         "calibration-sanity"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[LintCode::CalibrationEscape]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         check_device(cx.device, out);
     }

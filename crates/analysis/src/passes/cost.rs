@@ -456,6 +456,15 @@ impl CompiledPass for CostBudget {
         "cost-budget"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[
+            LintCode::DeadlineInfeasibleJob,
+            LintCode::TrialBudgetTooSmall,
+            LintCode::PathologicalRoutingBlowup,
+            LintCode::ResponseExceedsFrameBudget,
+        ]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         let trials = self.trials.unwrap_or(0);
         let envelope = envelope_of(cx.device, cx.source, trials, &self.model);

@@ -17,6 +17,14 @@ impl CompiledPass for CouplerLegality {
         "coupler-legality"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[
+            LintCode::WidthExceeded,
+            LintCode::OffCouplerGate,
+            LintCode::DisabledLinkGate,
+        ]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         let topo = cx.device.topology();
         let n = cx.device.num_qubits();

@@ -81,6 +81,10 @@ impl CompiledPass for DecoherenceExposure {
         "decoherence-exposure"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[LintCode::ExcessiveIdling]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         for row in idle_exposure(cx.device, cx.compiled.physical()) {
             if row.failure > self.failure_threshold {

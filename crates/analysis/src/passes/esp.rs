@@ -313,6 +313,10 @@ impl CompiledPass for EspReliability {
         "esp-reliability"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[LintCode::LowEspBound, LintCode::DominantWeakLink]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         let circuit = cx.compiled.physical();
         let esp = esp_interval(cx.device, circuit, &self.config);

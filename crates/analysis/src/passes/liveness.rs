@@ -71,6 +71,10 @@ impl CompiledPass for PhysicalLiveness {
         "physical-liveness"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[LintCode::UseAfterMeasure, LintCode::SwapAfterMeasure]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         use_after_measure(cx.compiled.physical(), out);
     }

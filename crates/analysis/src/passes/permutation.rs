@@ -35,6 +35,15 @@ impl CompiledPass for PermutationConsistency {
         "permutation-consistency"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[
+            LintCode::WidthExceeded,
+            LintCode::UnmappedOperand,
+            LintCode::SequenceMismatch,
+            LintCode::PermutationMismatch,
+        ]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         let source = cx.source;
         let compiled = cx.compiled;

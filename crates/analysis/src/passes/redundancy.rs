@@ -34,6 +34,10 @@ impl CompiledPass for PhysicalRedundancy {
         "physical-redundancy"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[LintCode::RedundantPair, LintCode::ZeroEffectSwap]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         find_redundancies(cx.compiled.physical(), out);
     }

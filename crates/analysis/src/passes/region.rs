@@ -52,6 +52,10 @@ impl CompiledPass for WeakRegion {
         "weak-region"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[LintCode::WeakRegionAllocation]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         if cx.compiled.initial_mapping().num_phys() != cx.device.num_qubits() {
             return; // shape mismatch; QV006 covers it

@@ -18,7 +18,6 @@ use std::collections::VecDeque;
 
 use quva::{Router, RoutingMetric};
 use quva_circuit::{Gate, PhysQubit};
-use quva_device::HopMatrix;
 
 use crate::diagnostic::{Diagnostic, LintCode, Span};
 use crate::pass::{CompiledContext, CompiledPass};
@@ -47,6 +46,10 @@ impl CompiledPass for MissedVqm {
         "missed-vqm"
     }
 
+    fn codes(&self) -> &'static [LintCode] {
+        &[LintCode::MissedVqmRoute]
+    }
+
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         let source = cx.source;
         let compiled = cx.compiled;
@@ -69,7 +72,6 @@ impl CompiledPass for MissedVqm {
         }
 
         let router = Router::new(cx.device, RoutingMetric::reliability());
-        let hops = HopMatrix::of_active(cx.device);
 
         // Pending source operations per program qubit — the same
         // program/inserted SWAP discrimination as permutation
@@ -144,7 +146,7 @@ impl CompiledPass for MissedVqm {
                     pending[qt.index()].pop_front();
 
                     if !chain.is_empty() {
-                        self.audit_chain(cx, &router, &hops, &chain_start, &chain, qc, qt, i, out);
+                        self.audit_chain(cx, &router, &chain_start, &chain, qc, qt, i, out);
                         chain.clear();
                     }
                 }
@@ -173,7 +175,6 @@ impl MissedVqm {
         &self,
         cx: &CompiledContext<'_>,
         router: &Router<'_>,
-        hops: &HopMatrix,
         chain_start: &quva::Mapping,
         chain: &[(PhysQubit, PhysQubit)],
         qc: quva_circuit::Qubit,
@@ -226,7 +227,7 @@ impl MissedVqm {
             return;
         }
 
-        let min_swaps = hops.swaps_needed(start.0, start.1) as usize;
+        let min_swaps = router.hop_matrix().swaps_needed(start.0, start.1) as usize;
         let hop_slack = plan.swap_count().saturating_sub(min_swaps);
         out.push(Diagnostic::new(
             LintCode::MissedVqmRoute,

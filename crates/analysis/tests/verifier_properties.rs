@@ -5,10 +5,15 @@
 //! 2. Each seeded corruption — off-coupler CNOT, broken permutation,
 //!    use-after-measure, swapped operands, dropped SWAP — is caught
 //!    with its expected stable `LintCode`.
+//! 3. On all of those outputs, each pass emits only the codes it
+//!    declares, and compile-time verification (which runs only the
+//!    passes that can report an error) accepts exactly the clean ones.
 
 use proptest::prelude::*;
-use quva::{CompiledCircuit, Mapping, MappingPolicy};
-use quva_analysis::{lint_circuit, verify_compiled, LintCode};
+use quva::{CompileAudit, CompiledCircuit, Mapping, MappingPolicy};
+use quva_analysis::{
+    lint_circuit, verify_compiled, CompiledContext, LintCode, PassRegistry, Report, Verifier,
+};
 use quva_benchmarks::{ibm_q5_suite, table1_suite, Benchmark};
 use quva_circuit::{Circuit, Gate, PhysQubit, Qubit};
 use quva_device::Device;
@@ -26,6 +31,37 @@ fn compile(bench: &Benchmark, policy: MappingPolicy, device: &Device) -> Compile
     policy
         .compile(bench.circuit(), device)
         .unwrap_or_else(|e| panic!("{} failed to compile {}: {e}", policy.name(), bench.name()))
+}
+
+/// [`verify_compiled`], checking on the way that every standard pass
+/// emits only codes from its `codes()` and that `Verifier`'s
+/// compile-time audit accepts exactly when the full report is clean.
+fn verify_checked(source: &Circuit, device: &Device, compiled: &CompiledCircuit) -> Report {
+    let cx = CompiledContext {
+        source,
+        device,
+        compiled,
+    };
+    for pass in PassRegistry::standard().compiled_passes() {
+        let mut out = Vec::new();
+        pass.run(&cx, &mut out);
+        for d in &out {
+            assert!(
+                pass.codes().contains(&d.code()),
+                "{} emitted undeclared {}",
+                pass.name(),
+                d.code().code()
+            );
+        }
+    }
+    let report = verify_compiled(source, device, compiled);
+    assert_eq!(
+        Verifier::new().audit(source, device, compiled).is_ok(),
+        report.is_clean(),
+        "{}",
+        report.render_text()
+    );
+    report
 }
 
 /// Rebuilds a physical circuit with `edit` applied to every gate
@@ -49,7 +85,7 @@ fn table1_suite_verifies_clean_under_all_policies() {
     for bench in table1_suite() {
         for policy in policies() {
             let compiled = compile(&bench, policy, &device);
-            let report = verify_compiled(bench.circuit(), &device, &compiled);
+            let report = verify_checked(bench.circuit(), &device, &compiled);
             assert!(
                 report.is_clean(),
                 "{} under {} is not clean:\n{}",
@@ -67,7 +103,7 @@ fn q5_suite_verifies_clean_under_all_policies() {
     for bench in ibm_q5_suite() {
         for policy in policies() {
             let compiled = compile(&bench, policy, &device);
-            let report = verify_compiled(bench.circuit(), &device, &compiled);
+            let report = verify_checked(bench.circuit(), &device, &compiled);
             assert!(
                 report.is_clean(),
                 "{} under {} is not clean:\n{}",
@@ -125,7 +161,7 @@ fn off_coupler_cnot_is_qv001() {
         compiled.final_mapping().clone(),
         compiled.inserted_swaps(),
     );
-    let report = verify_compiled(bench.circuit(), &device, &forged);
+    let report = verify_checked(bench.circuit(), &device, &forged);
     assert!(
         report.has_code(LintCode::OffCouplerGate),
         "{}",
@@ -157,7 +193,7 @@ fn broken_permutation_is_qv003() {
         wrong,
         compiled.inserted_swaps(),
     );
-    let report = verify_compiled(bench.circuit(), &device, &forged);
+    let report = verify_checked(bench.circuit(), &device, &forged);
     assert!(
         report.has_code(LintCode::PermutationMismatch),
         "{}",
@@ -193,7 +229,7 @@ fn use_after_measure_is_qv005() {
     let physical = circuit.map_qubits(device.num_qubits(), |q| PhysQubit(q.0));
     let mapping = Mapping::identity(2, device.num_qubits());
     let compiled = CompiledCircuit::from_parts(physical, mapping.clone(), mapping, 0);
-    let report = verify_compiled(&circuit, &device, &compiled);
+    let report = verify_checked(&circuit, &device, &compiled);
     assert!(
         report.has_code(LintCode::UseAfterMeasure),
         "{}",
@@ -235,7 +271,7 @@ fn flipped_cnot_orientation_is_qv004() {
         compiled.final_mapping().clone(),
         compiled.inserted_swaps(),
     );
-    let report = verify_compiled(bench.circuit(), &device, &forged);
+    let report = verify_checked(bench.circuit(), &device, &forged);
     assert!(
         report.has_code(LintCode::SequenceMismatch),
         "{}",
@@ -268,7 +304,7 @@ fn dropped_swap_is_caught() {
         compiled.final_mapping().clone(),
         compiled.inserted_swaps().saturating_sub(1),
     );
-    let report = verify_compiled(bench.circuit(), &device, &forged);
+    let report = verify_checked(bench.circuit(), &device, &forged);
     assert!(
         !report.is_clean(),
         "dropped SWAP went unnoticed:\n{}",
@@ -292,7 +328,7 @@ proptest! {
         let bench = Benchmark::rnd_sd(16, 32, seed);
         for policy in [MappingPolicy::baseline(), MappingPolicy::vqa_vqm()] {
             let compiled = compile(&bench, policy, &device);
-            let report = verify_compiled(bench.circuit(), &device, &compiled);
+            let report = verify_checked(bench.circuit(), &device, &compiled);
             prop_assert!(
                 report.is_clean(),
                 "seed {} under {}:\n{}",
@@ -325,7 +361,7 @@ proptest! {
             wrong,
             compiled.inserted_swaps(),
         );
-        let report = verify_compiled(bench.circuit(), &device, &forged);
+        let report = verify_checked(bench.circuit(), &device, &forged);
         prop_assert!(report.has_code(LintCode::PermutationMismatch), "{}", report.render_text());
     }
 }

@@ -121,10 +121,12 @@ fn compile_stdout_is_unchanged_by_trace() {
 fn compile_trace_schema_matches_golden() {
     let _g = guard();
     let path = temp_path("compile_schema.json");
-    // warm the process-global cost-envelope memo first: other tests in
-    // this binary compile the same q20/vqm/bv:8 key, so without the
-    // warm-up the traced run would record hit vs miss+insert counters
-    // depending on test order
+    // compile once untraced first, so any process-global memo on the
+    // compile path is warm and the traced run records the same counters
+    // whatever order this binary's tests run in. `--verify` runs only
+    // the passes that can report an error, so it no longer reaches the
+    // cost-envelope memo and the golden holds no cache counter today;
+    // the warm-up keeps that true if a memo joins the path later
     run(&[
         "compile", "--device", "q20", "--policy", "vqm", "--bench", "bv:8", "--verify",
     ]);

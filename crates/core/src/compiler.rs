@@ -237,6 +237,11 @@ impl MappingPolicy {
 /// (dependency inversion): `quva-analysis::Verifier` implements this
 /// trait, and callers thread it in through [`CompileOptions::verify`].
 ///
+/// An audit only decides accept or reject, so it may skip checks that
+/// can never reject: `Verifier` runs only its passes that can report
+/// an error here, and leaves the warning-only passes to `verify`,
+/// `lint` and `audit`.
+///
 /// `Sync` is a supertrait so a verify pass holding an auditor keeps
 /// checked pipelines shareable across threads (`quvad` caches them).
 pub trait CompileAudit: Sync {
@@ -244,8 +249,8 @@ pub trait CompileAudit: Sync {
     ///
     /// # Errors
     ///
-    /// A human-readable description of every finding; it fails the
-    /// compile as [`CompileError::Verification`].
+    /// A human-readable description of the findings of the checks that
+    /// ran; it fails the compile as [`CompileError::Verification`].
     fn audit(&self, source: &Circuit, device: &Device, compiled: &CompiledCircuit) -> Result<(), String>;
 }
 

@@ -670,7 +670,10 @@ impl CompilePass for PortfolioRoutePass {
                         );
                         match routed {
                             Ok(()) => {
-                                child.score = static_esp_point(device, &child.out);
+                                // routing only appends, so the parent's
+                                // score folds on over the new gates
+                                child.score =
+                                    esp_fold(device, cand.score, &child.out.gates()[cand.out.len()..]);
                                 // identical siblings add no diversity;
                                 // the earliest (base-metric-first) copy
                                 // survives, so the protected chain is
@@ -767,9 +770,15 @@ impl CompilePass for PortfolioRoutePass {
 /// Two-qubit gates on uncoupled or disabled pairs contribute nothing,
 /// exactly as in the interval analysis.
 pub fn static_esp_point(device: &Device, circuit: &Circuit<PhysQubit>) -> f64 {
+    esp_fold(device, 1.0, circuit.gates())
+}
+
+/// Multiplies `point` by each gate's success factor, left to right.
+/// Continuing a prefix's point over the gates appended after it gives
+/// the longer circuit's [`static_esp_point`] bit for bit.
+fn esp_fold(device: &Device, mut point: f64, gates: &[Gate<PhysQubit>]) -> f64 {
     let cal = device.calibration();
-    let mut point = 1.0f64;
-    for gate in circuit.iter() {
+    for gate in gates {
         let factor = match gate {
             Gate::OneQubit { qubit, .. } => (1.0 - cal.one_qubit_error(qubit.index())).powi(1),
             Gate::Cnot { control, target } => match device.link_error(*control, *target) {
@@ -1278,6 +1287,35 @@ mod tests {
         let pst = compiled.analytic_pst(&dev, CoherenceModel::Disabled).unwrap().pst;
         let point = static_esp_point(&dev, compiled.physical());
         assert!((pst - point).abs() < 1e-12, "pst {pst} vs esp point {point}");
+    }
+
+    #[test]
+    fn portfolio_score_is_the_static_esp_point_of_its_output() {
+        let dev = Device::ibm_q20();
+        let policy = MappingPolicy::vqm();
+        for bench in quva_benchmarks::table1_suite() {
+            for width in [1, 4, 8] {
+                let mut cx = PassContext::new(bench.circuit(), &dev);
+                AllocatePass {
+                    strategy: policy.allocation,
+                }
+                .run(&mut cx)
+                .unwrap();
+                PortfolioRoutePass {
+                    metric: policy.routing,
+                    width,
+                }
+                .run(&mut cx)
+                .unwrap();
+                let physical = cx.compiled.as_ref().unwrap().physical();
+                assert_eq!(
+                    cx.esp_point.map(f64::to_bits),
+                    Some(static_esp_point(&dev, physical).to_bits()),
+                    "{} at width {width}",
+                    bench.name()
+                );
+            }
+        }
     }
 
     #[test]

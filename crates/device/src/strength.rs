@@ -144,8 +144,11 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
         return Vec::new();
     }
     let strengths = node_strengths(device);
+    // only active links can connect a region — growth over a dead
+    // coupler would produce an unroutable allocation
+    let adjacency = active_adjacency(device);
 
-    let mut found: Vec<(f64, Vec<usize>)> = Vec::new();
+    let mut found: Vec<(f64, Vec<usize>, Vec<bool>)> = Vec::new();
     for seed in 0..n {
         // Greedy: grow from the seed, always absorbing the frontier
         // vertex that adds the most *internal* link success.
@@ -155,24 +158,15 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
         while members.len() < k {
             let mut candidate: Option<(f64, usize)> = None;
             for &m in &members {
-                // only active links can connect a region — growth over a
-                // dead coupler would produce an unroutable allocation
-                for nb in device.active_neighbors(PhysQubit(m as u32)) {
-                    let v = nb.index();
+                for &(v, _) in &adjacency[m] {
                     if in_set[v] {
                         continue;
                     }
                     // gain = success mass of links from v into the set
-                    let gain: f64 = device
-                        .active_neighbors(nb)
+                    let gain: f64 = adjacency[v]
                         .iter()
-                        .filter(|u| in_set[u.index()])
-                        .map(|&u| {
-                            let id = topo
-                                .link_id(nb, u)
-                                .unwrap_or_else(|| unreachable!("neighbor implies link"));
-                            1.0 - device.calibration().two_qubit_error(id)
-                        })
+                        .filter(|&&(u, _)| in_set[u])
+                        .map(|&(_, success)| success)
                         .sum::<f64>()
                         + 1e-3 * strengths[v]; // tie-break by global strength
                     match candidate {
@@ -193,22 +187,36 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
         // order members by descending node strength — the order VQA
         // assigns the most active program qubits in
         members.sort_by(|&a, &b| strengths[b].total_cmp(&strengths[a]).then(a.cmp(&b)));
-        if !found.iter().any(|(_, m)| {
-            let mut a = m.clone();
-            let mut b = members.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            a == b
-        }) {
-            found.push((ans, members));
+        if !found.iter().any(|(_, _, set)| *set == in_set) {
+            found.push((ans, members, in_set));
         }
     }
 
     found.sort_by(|a, b| b.0.total_cmp(&a.0));
     found
         .into_iter()
-        .map(|(_, members)| members.into_iter().map(|v| PhysQubit(v as u32)).collect())
+        .map(|(_, members, _)| members.into_iter().map(|v| PhysQubit(v as u32)).collect())
         .collect()
+}
+
+/// Each qubit's active neighbours with the link's success `1 − e2q`,
+/// ascending by neighbour like [`Device::active_neighbors`]: the greedy's
+/// tie-breaks and the order its gains are summed in follow this order.
+fn active_adjacency(device: &Device) -> Vec<Vec<(usize, f64)>> {
+    let topo = device.topology();
+    let mut adjacency = vec![Vec::new(); topo.num_qubits()];
+    for (id, link) in topo.links().iter().enumerate() {
+        if device.link_enabled(id) {
+            let success = 1.0 - device.calibration().two_qubit_error(id);
+            let (a, b) = (link.low().index(), link.high().index());
+            adjacency[a].push((b, success));
+            adjacency[b].push((a, success));
+        }
+    }
+    for row in &mut adjacency {
+        row.sort_unstable_by_key(|&(v, _)| v);
+    }
+    adjacency
 }
 
 /// Total link success mass internal to `region`: Σ over active links
