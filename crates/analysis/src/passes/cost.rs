@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use quva_circuit::{Circuit, Gate, PhysQubit};
-use quva_device::{Device, HopMatrix};
+use quva_device::Device;
 
 use crate::dataflow::{run_forward, ForwardAnalysis, JoinSemiLattice};
 use crate::diagnostic::{Diagnostic, LintCode};
@@ -310,7 +310,7 @@ impl CostEnvelope {
 /// trial budget, uncached. Prefer [`envelope_of`], which memoizes.
 pub fn cost_envelope(device: &Device, circuit: &Circuit, trials: u64, model: &CostModel) -> CostEnvelope {
     let _span = quva_obs::span("cost", "envelope");
-    let hops = HopMatrix::of_active(device);
+    let hops = device.hop_matrix();
     let n = device.num_qubits() as u64;
     // Unreachable pairs report a sentinel distance; a connected route
     // never exceeds n−1 hops, so the worst-case bound caps there.

@@ -159,7 +159,7 @@ PIPELINE OPTIONS:
                         pipeline statically; exit nonzero on any QV5xx
     --passes a,b,c      explicit pass list instead of the --policy
                         pipeline (optimize, allocate, route, select,
-                        portfolio, verify)
+                        portfolio, verify); compile runs it too
     --verify            append the verification pass to the --policy
                         pipeline
     --width N           portfolio candidates kept per layer (default 4)
@@ -361,9 +361,17 @@ fn cmd_compile(args: &ParsedArgs) -> Result<String, ArgsError> {
             .has_switch("verify")
             .then_some(&verifier as &dyn quva::CompileAudit),
     };
-    let compiled = policy
-        .compile_with(&program, &device, &options)
-        .map_err(|e| ArgsError::new(e.to_string()))?;
+    let compiled = match args.get("passes") {
+        // an explicit pass list replaces the --policy pipeline, exactly
+        // as `quva pipeline --passes` builds and checks it
+        Some(names) => {
+            let pipeline = pipeline_from_names(names, &policy, portfolio_width(args)?, &verifier)?;
+            let _total = quva_obs::span("compile", "compile.total");
+            pipeline.compile(&program, &device)
+        }
+        None => policy.compile_with(&program, &device, &options),
+    }
+    .map_err(|e| ArgsError::new(e.to_string()))?;
     let mut out = String::new();
     if args.has_switch("optimize") && args.has_switch("stats") {
         let _ = writeln!(out, "// optimizer removed : {removed} gates");
@@ -391,6 +399,14 @@ fn cmd_compile(args: &ParsedArgs) -> Result<String, ArgsError> {
         return Ok(format!("wrote routed program to {path}\n"));
     }
     Ok(out)
+}
+
+/// The portfolio beam width from `--width` (default 4, at least 1).
+fn portfolio_width(args: &ParsedArgs) -> Result<usize, ArgsError> {
+    match args.get_parsed("width")?.unwrap_or(4) {
+        0 => Err(ArgsError::new("--width must be at least 1")),
+        width => Ok(width),
+    }
 }
 
 /// Builds a pipeline from a `--passes` comma list. Pass names:
@@ -454,10 +470,7 @@ fn cmd_pipeline(args: &ParsedArgs) -> Result<String, ArgsError> {
         return cmd_pipeline_compare(args);
     }
     let policy = parse_policy(args.get_or("policy", "vqa-vqm"))?;
-    let width: usize = args.get_parsed("width")?.unwrap_or(4);
-    if width == 0 {
-        return Err(ArgsError::new("--width must be at least 1"));
-    }
+    let width = portfolio_width(args)?;
     let verifier = Verifier::new();
     let pipeline = match args.get("passes") {
         Some(names) => pipeline_from_names(names, &policy, width, &verifier)?,
@@ -520,10 +533,7 @@ fn cmd_pipeline(args: &ParsedArgs) -> Result<String, ArgsError> {
 fn cmd_pipeline_compare(args: &ParsedArgs) -> Result<String, ArgsError> {
     use quva::pipeline::static_esp_point;
     let (device, policy, name, program) = load_setup(args)?;
-    let width: usize = args.get_parsed("width")?.unwrap_or(4);
-    if width == 0 {
-        return Err(ArgsError::new("--width must be at least 1"));
-    }
+    let width = portfolio_width(args)?;
     let baseline = quva::Pipeline::for_policy(&policy)
         .compile(&program, &device)
         .map_err(|e| ArgsError::new(e.to_string()))?;

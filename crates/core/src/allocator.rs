@@ -11,7 +11,7 @@
 //!   a seeded random placement (§6.4 evaluates 32 of these).
 
 use quva_circuit::{qubit_activity, Circuit, InteractionGraph, PhysQubit, Qubit};
-use quva_device::{node_strengths, try_strongest_subgraph, Device, HopMatrix, ReliabilityMatrix};
+use quva_device::{node_strengths, Device};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -97,7 +97,7 @@ impl AllocationStrategy {
 /// carries a reliability matrix).
 fn greedy_interaction(circuit: &Circuit, device: &Device, region: Option<&[PhysQubit]>) -> Mapping {
     let ig = InteractionGraph::of(circuit);
-    let hops = HopMatrix::of_active(device);
+    let hops = device.hop_matrix();
     let k = circuit.num_qubits();
     let n = device.num_qubits();
 
@@ -273,16 +273,13 @@ fn vqa_allocate(
     };
     let k = circuit.num_qubits();
     let n = device.num_qubits();
-    let region = try_strongest_subgraph(device, k)
+    let region = device
+        .strongest_region(k)
         .ok_or_else(|| format!("no connected region of {k} qubits over active links on {n}-qubit device"))?;
     quva_obs::observe("alloc.region_size", region.len() as f64);
 
     let strengths = node_strengths(device);
-    let rel = ReliabilityMatrix::of_active(device, |id| {
-        -(1.0 - device.calibration().two_qubit_error(id))
-            .max(f64::MIN_POSITIVE)
-            .ln()
-    });
+    let rel = device.cnot_distances();
     let ig = InteractionGraph::of(circuit);
     let activity = qubit_activity(circuit, activity_window);
 
@@ -299,7 +296,7 @@ fn vqa_allocate(
     for &q in &order {
         let q = Qubit(q);
         let mut best: Option<(f64, PhysQubit)> = None;
-        for &p in &region {
+        for &p in region {
             if used[p.index()] {
                 continue;
             }
@@ -335,7 +332,7 @@ fn vqa_allocate(
         .map(|slot| slot.unwrap_or_else(|| unreachable!("all qubits placed")))
         .collect();
     // refine under the reliability metric, still confined to the region
-    refine_by_exchange(&mut positions, &region, &ig, |a, b| rel.get(a, b));
+    refine_by_exchange(&mut positions, region, &ig, |a, b| rel.get(a, b));
     Mapping::from_assignment(k, n, |q| positions[q.index()]).map_err(|e| e.to_string())
 }
 
@@ -351,7 +348,7 @@ fn random_allocate(k: usize, n: usize, seed: u64) -> Mapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quva_device::{Calibration, Topology};
+    use quva_device::{Calibration, HopMatrix, Topology};
 
     fn uniform(topo: Topology, e: f64) -> Device {
         Device::new(topo, |t| Calibration::uniform(t, e, 0.0, 0.0))

@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use quva_circuit::{Circuit, Gate, Layers, PhysQubit, Qubit};
-use quva_device::{Device, HopMatrix, ReliabilityMatrix};
+use quva_device::{Device, ReliabilityMatrix};
 use quva_sim::{analytic_pst, CoherenceModel, PstReport, SimError};
 
 use crate::allocator::AllocationStrategy;
@@ -428,49 +428,17 @@ const LOOKAHEAD_WEIGHT: f64 = 0.5;
 
 /// The metric distance table between physical locations — expected
 /// failure weight (reliability) or SWAP count (hops) to bring them
-/// together — plus whether the device's reliability weights were
-/// usable at all.
+/// together — borrowed from the device, which builds it once.
 ///
-/// Degradation: if any active link's reliability weight is unusable
-/// (non-finite), the reliability metric falls back to hop-count
-/// distances — VQM degrades to baseline routing rather than panicking.
-/// The warning is emitted only when `warn_on_degraded` is set, so the
-/// portfolio router's extra metric tables don't repeat it.
-pub(crate) fn metric_distances(
-    device: &Device,
-    metric: RoutingMetric,
-    warn_on_degraded: bool,
-) -> (ReliabilityMatrix, bool) {
-    let topo = device.topology();
-    let weights_usable = (0..topo.num_links()).all(|id| {
-        let link = topo.links()[id];
-        !device.link_enabled(id)
-            || device
-                .swap_failure_weight(link.low(), link.high())
-                .is_some_and(|w| w.is_finite() && w >= 0.0)
-    });
-    let dist = match metric {
-        RoutingMetric::Reliability { .. } if weights_usable => {
-            ReliabilityMatrix::of_active(device, |id| {
-                let link = topo.links()[id];
-                device.swap_failure_weight(link.low(), link.high()).unwrap_or(0.0)
-                // enabled links always carry a weight
-            })
-        }
-        // the documented VQM degradation: unusable reliability weights
-        // fall back to hop-count distances (uniform cost = hops)
-        RoutingMetric::Reliability { .. } => {
-            if warn_on_degraded {
-                quva_obs::warn(
-                    "router",
-                    "reliability weights unusable; VQM routing degraded to hop-count distances",
-                );
-            }
-            ReliabilityMatrix::of_active(device, |_| 1.0)
-        }
-        RoutingMetric::Hops => ReliabilityMatrix::of_active(device, |_| 1.0),
-    };
-    (dist, weights_usable)
+/// Every reliability weight is finite and non-negative: a calibration
+/// stores 2Q errors in `[0, 1)` and the SWAP weight clamps the success
+/// at `f64::MIN_POSITIVE`, so `ReliabilityMatrix::of_active`'s
+/// assertion never fires on a device's table.
+fn metric_distances(device: &Device, metric: RoutingMetric) -> &ReliabilityMatrix {
+    match metric {
+        RoutingMetric::Reliability { .. } => device.swap_distances(),
+        RoutingMetric::Hops => device.unit_distances(),
+    }
 }
 
 /// The routing order shared by every candidate of a portfolio: gates
@@ -527,8 +495,6 @@ impl RouteBase {
 pub(crate) fn route_positions(
     circuit: &Circuit,
     device: &Device,
-    hops: &HopMatrix,
-    dist: &ReliabilityMatrix,
     metric: RoutingMetric,
     excess_router: Option<&crate::router::Router<'_>>,
     base: &RouteBase,
@@ -567,9 +533,7 @@ pub(crate) fn route_positions(
                     .collect();
                 let start_len = out.gates().len();
                 let start_locs = (mapping.phys_of(*a), mapping.phys_of(*b));
-                bring_together(
-                    device, hops, dist, metric, mapping, out, inserted, *a, *b, &upcoming,
-                )?;
+                bring_together(device, metric, mapping, out, inserted, *a, *b, &upcoming)?;
                 let (pa, pb) = (mapping.phys_of(*a), mapping.phys_of(*b));
                 match gate {
                     Gate::Cnot { .. } => {
@@ -603,9 +567,6 @@ pub(crate) fn route_positions(
 /// All distance matrices are built over the device's *active* coupling
 /// graph: disabled links are never routed over, and a mapping split
 /// across dead links surfaces as [`CompileError::Disconnected`].
-///
-/// Degradation: see [`metric_distances`] — VQM degrades to baseline
-/// routing rather than panicking on unusable reliability weights.
 pub(crate) fn route(
     circuit: &Circuit,
     device: &Device,
@@ -613,15 +574,12 @@ pub(crate) fn route(
     metric: RoutingMetric,
 ) -> Result<CompiledCircuit, CompileError> {
     let _route_span = quva_obs::span("compile", "compile.route");
-    let hops = HopMatrix::of_active(device);
-    let (dist, weights_usable) = metric_distances(device, metric, true);
     // chosen-vs-best bookkeeping: when tracing is on, each separated
     // CNOT's realized failure weight is compared against the plan-based
     // router's optimum for the same endpoints (negative excess means
     // the stepwise lookahead beat the single-gate plan)
-    let excess_router =
-        (quva_obs::enabled() && weights_usable && matches!(metric, RoutingMetric::Reliability { .. }))
-            .then(|| crate::router::Router::new(device, metric));
+    let excess_router = (quva_obs::enabled() && matches!(metric, RoutingMetric::Reliability { .. }))
+        .then(|| crate::router::Router::new(device, metric));
 
     let initial = mapping.clone();
     let mut out: Circuit<PhysQubit> = Circuit::with_cbits(device.num_qubits(), circuit.num_cbits().max(1));
@@ -631,8 +589,6 @@ pub(crate) fn route(
     route_positions(
         circuit,
         device,
-        &hops,
-        &dist,
         metric,
         excess_router.as_ref(),
         &base,
@@ -690,8 +646,6 @@ fn observe_excess_weight(
 #[allow(clippy::too_many_arguments)]
 fn bring_together(
     device: &Device,
-    hops: &HopMatrix,
-    dist: &ReliabilityMatrix,
     metric: RoutingMetric,
     mapping: &mut Mapping,
     out: &mut Circuit<PhysQubit>,
@@ -700,6 +654,8 @@ fn bring_together(
     b: Qubit,
     upcoming: &[(Qubit, Qubit)],
 ) -> Result<(), CompileError> {
+    let hops = device.hop_matrix();
+    let dist = metric_distances(device, metric);
     if hops.get(mapping.phys_of(a), mapping.phys_of(b)) == quva_device::UNREACHABLE_HOPS {
         return Err(CompileError::Disconnected { a, b });
     }

@@ -30,13 +30,12 @@ use std::error::Error;
 use std::fmt;
 
 use quva_circuit::{Circuit, Gate, PhysQubit};
-use quva_device::{Device, HopMatrix};
+use quva_device::Device;
 use quva_sim::CoherenceModel;
 
 use crate::allocator::AllocationStrategy;
 use crate::compiler::{
-    metric_distances, route, route_positions, CompileAudit, CompileError, CompiledCircuit, MappingPolicy,
-    RouteBase,
+    route, route_positions, CompileAudit, CompileError, CompiledCircuit, MappingPolicy, RouteBase,
 };
 use crate::mapping::Mapping;
 use crate::router::{Router, RoutingMetric};
@@ -581,12 +580,21 @@ impl PortfolioRoutePass {
     }
 }
 
+/// A beam entry: a routed chain whose latest layer is the arena
+/// segment `tip` (`None` before the first layer).
 struct RouteCandidate {
     mapping: Mapping,
-    out: Circuit<PhysQubit>,
+    tip: Option<usize>,
     inserted: usize,
     protected: bool,
     score: f64,
+}
+
+/// One kept candidate's routed layer, linked to the segment before it:
+/// candidates share their prefixes instead of each copying its output.
+struct Segment {
+    parent: Option<usize>,
+    gates: Circuit<PhysQubit>,
 }
 
 impl CompilePass for PortfolioRoutePass {
@@ -619,66 +627,62 @@ impl CompilePass for PortfolioRoutePass {
         let (compiled, score) = {
             let circuit = cx.circuit();
             let base = RouteBase::of(circuit);
-            let hops = HopMatrix::of_active(device);
-            let family = self.metric_family();
-            // per-metric distance tables and excess-weight probes; the
-            // degradation warning fires once (for the base metric only)
-            let tables: Vec<(RoutingMetric, _, Option<Router<'_>>)> = family
-                .iter()
-                .enumerate()
-                .map(|(mi, &m)| {
-                    let (dist, usable) = metric_distances(device, m, mi == 0);
-                    let probe =
-                        (quva_obs::enabled() && usable && matches!(m, RoutingMetric::Reliability { .. }))
-                            .then(|| Router::new(device, m));
-                    (m, dist, probe)
+            let empty = || Circuit::with_cbits(device.num_qubits(), circuit.num_cbits().max(1));
+            // per-metric excess-weight probes (tracing only)
+            let family: Vec<(RoutingMetric, Option<Router<'_>>)> = self
+                .metric_family()
+                .into_iter()
+                .map(|m| {
+                    let probe = (quva_obs::enabled() && matches!(m, RoutingMetric::Reliability { .. }))
+                        .then(|| Router::new(device, m));
+                    (m, probe)
                 })
                 .collect();
 
+            let mut arena: Vec<Segment> = Vec::new();
             let mut candidates = vec![RouteCandidate {
                 mapping: initial.clone(),
-                out: Circuit::with_cbits(device.num_qubits(), circuit.num_cbits().max(1)),
+                tip: None,
                 inserted: 0,
                 protected: true,
                 score: 1.0,
             }];
 
             for &(lo, hi) in &base.layer_bounds {
-                let mut children: Vec<RouteCandidate> = Vec::new();
+                // each child routes the layer into a fresh segment
+                let mut children: Vec<(RouteCandidate, Circuit<PhysQubit>)> = Vec::new();
                 let mut pruned = 0u64;
                 for cand in &candidates {
-                    for (mi, (metric, dist, probe)) in tables.iter().enumerate() {
+                    for (mi, (metric, probe)) in family.iter().enumerate() {
                         let mut child = RouteCandidate {
                             mapping: cand.mapping.clone(),
-                            out: cand.out.clone(),
+                            tip: cand.tip,
                             inserted: cand.inserted,
                             protected: cand.protected && mi == 0,
                             score: 0.0,
                         };
+                        let mut segment = empty();
                         let routed = route_positions(
                             circuit,
                             device,
-                            &hops,
-                            dist,
                             *metric,
                             probe.as_ref(),
                             &base,
                             lo..hi,
                             &mut child.mapping,
-                            &mut child.out,
+                            &mut segment,
                             &mut child.inserted,
                         );
                         match routed {
                             Ok(()) => {
                                 // routing only appends, so the parent's
-                                // score folds on over the new gates
-                                child.score =
-                                    esp_fold(device, cand.score, &child.out.gates()[cand.out.len()..]);
+                                // score folds on over the new segment
+                                child.score = esp_fold(device, cand.score, segment.gates());
                                 // identical siblings add no diversity;
                                 // the earliest (base-metric-first) copy
                                 // survives, so the protected chain is
                                 // never the one dropped
-                                let duplicate = children.iter().any(|c| {
+                                let duplicate = children.iter().any(|(c, _)| {
                                     c.score.to_bits() == child.score.to_bits()
                                         && c.inserted == child.inserted
                                         && c.mapping == child.mapping
@@ -686,7 +690,7 @@ impl CompilePass for PortfolioRoutePass {
                                 if duplicate {
                                     pruned += 1;
                                 } else {
-                                    children.push(child);
+                                    children.push((child, segment));
                                 }
                             }
                             // the protected chain failing means the
@@ -703,12 +707,13 @@ impl CompilePass for PortfolioRoutePass {
                 let mut ranked: Vec<usize> = (0..children.len()).collect();
                 ranked.sort_by(|&ia, &ib| {
                     children[ib]
+                        .0
                         .score
-                        .total_cmp(&children[ia].score)
+                        .total_cmp(&children[ia].0.score)
                         .then_with(|| ia.cmp(&ib))
                 });
                 let mut keep: Vec<usize> = Vec::with_capacity(width);
-                if let Some(pi) = children.iter().position(|c| c.protected) {
+                if let Some(pi) = children.iter().position(|(c, _)| c.protected) {
                     keep.push(pi);
                 }
                 for i in ranked {
@@ -722,8 +727,13 @@ impl CompilePass for PortfolioRoutePass {
                 keep.sort_unstable();
                 pruned += (children.len() - keep.len()) as u64;
                 let mut next = Vec::with_capacity(keep.len());
-                for (i, child) in children.into_iter().enumerate() {
+                for (i, (mut child, gates)) in children.into_iter().enumerate() {
                     if keep.contains(&i) {
+                        arena.push(Segment {
+                            parent: child.tip,
+                            gates,
+                        });
+                        child.tip = Some(arena.len() - 1);
                         next.push(child);
                     }
                 }
@@ -748,10 +758,21 @@ impl CompilePass for PortfolioRoutePass {
                 // typed error all the same
                 return Err(cx.missing("portfolio", Invariant::Mapped));
             };
+            // concatenate the chosen chain's segments, oldest first
+            let mut chain = Vec::new();
+            let mut at = chosen.tip;
+            while let Some(i) = at {
+                chain.push(i);
+                at = arena[i].parent;
+            }
+            let mut out = empty();
+            for &i in chain.iter().rev() {
+                out.append(&arena[i].gates);
+            }
             quva_obs::counter("route.gates", base.two_qubit_positions.len() as u64);
             quva_obs::counter("route.swaps_inserted", chosen.inserted as u64);
             (
-                CompiledCircuit::from_parts(chosen.out, initial, chosen.mapping, chosen.inserted),
+                CompiledCircuit::from_parts(out, initial, chosen.mapping, chosen.inserted),
                 chosen.score,
             )
         };

@@ -158,18 +158,18 @@ fn fnv_mix(words: &[u32]) -> u64 {
 pub struct Router<'d> {
     device: &'d Device,
     metric: RoutingMetric,
-    hops: HopMatrix,
+    hops: &'d HopMatrix,
 }
 
 impl<'d> Router<'d> {
-    /// Builds a router (precomputes the hop-distance matrix over the
-    /// device's *active* coupling graph — disabled links are never
-    /// routed over).
+    /// Builds a router over the device's hop-distance matrix
+    /// ([`Device::hop_matrix`], over the *active* coupling graph —
+    /// disabled links are never routed over).
     pub fn new(device: &'d Device, metric: RoutingMetric) -> Self {
         Router {
             device,
             metric,
-            hops: HopMatrix::of_active(device),
+            hops: device.hop_matrix(),
         }
     }
 
@@ -179,8 +179,8 @@ impl<'d> Router<'d> {
     }
 
     /// The hop-distance matrix (shared with allocators).
-    pub fn hop_matrix(&self) -> &HopMatrix {
-        &self.hops
+    pub fn hop_matrix(&self) -> &'d HopMatrix {
+        self.hops
     }
 
     /// Plans the movement that lets the occupants of `a` and `b`

@@ -2,10 +2,12 @@
 //! snapshot. This is the object every policy and simulator consumes.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use quva_circuit::PhysQubit;
 
 use crate::calibration::{Calibration, CalibrationError};
+use crate::distances::{HopMatrix, ReliabilityMatrix};
 use crate::topology::Topology;
 
 /// A NISQ machine at a point in time: its coupling graph plus the error
@@ -35,12 +37,37 @@ use crate::topology::Topology;
 /// assert_eq!(dead.link_error(PhysQubit(0), PhysQubit(1)), None);
 /// assert!(!dead.has_active_link(PhysQubit(0), PhysQubit(1)));
 /// ```
+///
+/// The distance tables and strongest regions the policies read
+/// ([`Device::hop_matrix`], [`Device::swap_distances`],
+/// [`Device::strongest_region`], ...) depend only on the device, so
+/// each is built on first use and then shared by every compile, pass
+/// and lint that borrows this device.
 #[derive(Debug, Clone)]
 pub struct Device {
     topology: Topology,
     calibration: Calibration,
     /// `disabled[id]` marks links the policies must not use.
     disabled: Vec<bool>,
+    tables: Tables,
+}
+
+/// The tables derived from a [`Device`], each filled on first use.
+/// [`Device::disable_link`] drops them all.
+#[derive(Clone, Default)]
+struct Tables {
+    hops: OnceLock<HopMatrix>,
+    swap: OnceLock<ReliabilityMatrix>,
+    cnot: OnceLock<ReliabilityMatrix>,
+    unit: OnceLock<ReliabilityMatrix>,
+    /// `regions[k]` holds the strongest connected k-region, `0 <= k <= n`.
+    regions: OnceLock<Vec<OnceLock<Option<Vec<PhysQubit>>>>>,
+}
+
+impl fmt::Debug for Tables {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Tables { .. }")
+    }
 }
 
 impl Device {
@@ -49,11 +76,17 @@ impl Device {
     /// twice.
     pub fn new(topology: Topology, calibration: impl FnOnce(&Topology) -> Calibration) -> Self {
         let calibration = calibration(&topology);
+        Device::assemble(topology, calibration)
+    }
+
+    /// A device with every link enabled and no table built yet.
+    fn assemble(topology: Topology, calibration: Calibration) -> Self {
         let disabled = vec![false; topology.num_links()];
         Device {
             topology,
             calibration,
             disabled,
+            tables: Tables::default(),
         }
     }
 
@@ -74,12 +107,7 @@ impl Device {
             calibration.two_qubit_errors().to_vec(),
             calibration.durations(),
         )?;
-        let disabled = vec![false; topology.num_links()];
-        Ok(Device {
-            topology,
-            calibration: revalidated,
-            disabled,
-        })
+        Ok(Device::assemble(topology, revalidated))
     }
 
     /// The IBM-Q20 Tokyo machine with the paper's deterministic average
@@ -87,33 +115,25 @@ impl Device {
     pub fn ibm_q20() -> Self {
         let topology = Topology::ibm_q20_tokyo();
         let calibration = crate::calgen::ibm_q20_average_calibration(&topology);
-        let disabled = vec![false; topology.num_links()];
-        Device {
-            topology,
-            calibration,
-            disabled,
-        }
+        Device::assemble(topology, calibration)
     }
 
     /// The IBM-Q5 Tenerife machine with the §7 average error map.
     pub fn ibm_q5() -> Self {
         let topology = Topology::ibm_q5_tenerife();
         let calibration = crate::calgen::ibm_q5_average_calibration(&topology);
-        let disabled = vec![false; topology.num_links()];
-        Device {
-            topology,
-            calibration,
-            disabled,
-        }
+        Device::assemble(topology, calibration)
     }
 
-    /// Marks the link between `a` and `b` as dead. Returns `false`
-    /// (and changes nothing) when the pair is not coupled; disabling an
-    /// already-dead link is a no-op returning `true`.
+    /// Marks the link between `a` and `b` as dead, dropping every
+    /// table built so far. Returns `false` (and changes nothing) when
+    /// the pair is not coupled; disabling an already-dead link is a
+    /// no-op returning `true`.
     pub fn disable_link(&mut self, a: PhysQubit, b: PhysQubit) -> bool {
         match self.topology.link_id(a, b) {
             Some(id) => {
                 self.disabled[id] = true;
+                self.tables = Tables::default();
                 true
             }
             None => false,
@@ -327,15 +347,65 @@ impl Device {
             cal.durations(),
         )
         .unwrap_or_else(|e| unreachable!("subset of a valid calibration stays valid: {e}"));
-        let disabled = vec![false; topology.num_links()];
-        (
-            Device {
-                topology,
-                calibration,
-                disabled,
-            },
-            region.to_vec(),
-        )
+        (Device::assemble(topology, calibration), region.to_vec())
+    }
+
+    /// All-pairs hop distances over the active links
+    /// ([`HopMatrix::of_active`]), built on first use.
+    pub fn hop_matrix(&self) -> &HopMatrix {
+        self.tables.hops.get_or_init(|| HopMatrix::of_active(self))
+    }
+
+    /// Reliability distances under the SWAP failure weight
+    /// `−ln((1 − e2q)³)` of [`Device::swap_failure_weight`] — the VQM
+    /// routing metric — built on first use.
+    pub fn swap_distances(&self) -> &ReliabilityMatrix {
+        self.tables.swap.get_or_init(|| {
+            ReliabilityMatrix::of_active(self, |id| {
+                let link = self.topology.links()[id];
+                // enabled links always carry a weight
+                self.swap_failure_weight(link.low(), link.high()).unwrap_or(0.0)
+            })
+        })
+    }
+
+    /// Reliability distances under the CNOT failure weight
+    /// `−ln(1 − e2q)` — VQA's placement metric — built on first use.
+    pub fn cnot_distances(&self) -> &ReliabilityMatrix {
+        self.tables.cnot.get_or_init(|| {
+            ReliabilityMatrix::of_active(self, |id| {
+                -(1.0 - self.calibration.two_qubit_error(id))
+                    .max(f64::MIN_POSITIVE)
+                    .ln()
+            })
+        })
+    }
+
+    /// Reliability distances with every active link weighing 1 — hop
+    /// counts with next-hop reconstruction, the baseline routing
+    /// metric — built on first use.
+    pub fn unit_distances(&self) -> &ReliabilityMatrix {
+        self.tables
+            .unit
+            .get_or_init(|| ReliabilityMatrix::of_active(self, |_| 1.0))
+    }
+
+    /// The strongest connected `k`-region (the first of
+    /// [`crate::candidate_regions`]), built on first use for each `k`;
+    /// `None` when `k` is zero or exceeds the device, or no connected
+    /// k-region exists over the active links.
+    pub fn strongest_region(&self, k: usize) -> Option<&[PhysQubit]> {
+        let n = self.num_qubits();
+        if k > n {
+            return None;
+        }
+        let regions = self
+            .tables
+            .regions
+            .get_or_init(|| (0..=n).map(|_| OnceLock::new()).collect());
+        regions[k]
+            .get_or_init(|| crate::strength::candidate_regions(self, k).into_iter().next())
+            .as_deref()
     }
 }
 
@@ -358,6 +428,65 @@ impl fmt::Display for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calgen::{CalibrationGenerator, VariationProfile};
+    use crate::strength::candidate_regions;
+
+    /// Builds every cached table of `dev` (if not built yet) and checks
+    /// each against a fresh build on the device as it is now.
+    fn assert_tables_match_fresh_builds(dev: &Device) {
+        let weight = |w: fn(&Device, PhysQubit, PhysQubit) -> Option<f64>| {
+            move |id: usize| {
+                let link = dev.topology().links()[id];
+                w(dev, link.low(), link.high()).unwrap()
+            }
+        };
+        assert_eq!(dev.hop_matrix(), &HopMatrix::of_active(dev));
+        assert_eq!(
+            dev.swap_distances(),
+            &ReliabilityMatrix::of_active(dev, weight(Device::swap_failure_weight))
+        );
+        assert_eq!(
+            dev.cnot_distances(),
+            &ReliabilityMatrix::of_active(dev, weight(Device::cnot_failure_weight))
+        );
+        assert_eq!(dev.unit_distances(), &ReliabilityMatrix::of_active(dev, |_| 1.0));
+        for k in 0..=dev.num_qubits() + 1 {
+            assert_eq!(
+                dev.strongest_region(k).map(<[PhysQubit]>::to_vec),
+                candidate_regions(dev, k).into_iter().next(),
+                "{dev}: k = {k}"
+            );
+        }
+    }
+
+    fn q20_with_two_dead_links() -> Device {
+        Device::ibm_q20().with_disabled_links([(PhysQubit(14), PhysQubit(18)), (PhysQubit(1), PhysQubit(2))])
+    }
+
+    #[test]
+    fn cached_tables_equal_fresh_builds() {
+        let grid = Device::new(Topology::grid(4, 4), |t| {
+            CalibrationGenerator::new(VariationProfile::ibm_q20_paper(), 3).snapshot(t)
+        });
+        let dead = q20_with_two_dead_links();
+        assert_eq!(dead.disabled_link_count(), 2);
+        for dev in [Device::ibm_q20(), Device::ibm_q5(), grid, dead] {
+            assert_tables_match_fresh_builds(&dev);
+        }
+    }
+
+    #[test]
+    fn disable_link_drops_cached_tables() {
+        let mut dev = Device::ibm_q20();
+        assert_tables_match_fresh_builds(&dev);
+        assert!(dev.disable_link(PhysQubit(14), PhysQubit(18)));
+        assert!(dev.disable_link(PhysQubit(1), PhysQubit(2)));
+        assert_tables_match_fresh_builds(&dev);
+        // the degraded tables are those of a device built degraded
+        let built_dead = q20_with_two_dead_links();
+        assert_eq!(dev.hop_matrix(), built_dead.hop_matrix());
+        assert_eq!(dev.swap_distances(), built_dead.swap_distances());
+    }
 
     #[test]
     fn from_parts_validates_shape() {

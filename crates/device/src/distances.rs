@@ -123,7 +123,7 @@ impl HopMatrix {
 /// let path = m.path(PhysQubit(0), PhysQubit(2)).unwrap();
 /// assert_eq!(path.len(), 3);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityMatrix {
     n: usize,
     dist: Vec<f64>,

@@ -128,9 +128,11 @@ pub fn strongest_subgraph(device: &Device, k: usize) -> Vec<PhysQubit> {
 }
 
 /// Fallible variant of [`strongest_subgraph`]: returns `None` when `k`
-/// is out of range or no connected k-subgraph exists.
+/// is out of range or no connected k-subgraph exists. Reads the
+/// device's [`Device::strongest_region`], so the search runs once per
+/// device and `k`.
 pub fn try_strongest_subgraph(device: &Device, k: usize) -> Option<Vec<PhysQubit>> {
-    candidate_regions(device, k).into_iter().next()
+    device.strongest_region(k).map(<[PhysQubit]>::to_vec)
 }
 
 /// All distinct connected k-qubit regions found by greedy

@@ -9,11 +9,9 @@
 //! execution is wrapped again by the worker loop as the last line of
 //! panic isolation.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
 
-use quva::{CheckedPipeline, MappingPolicy, Pipeline};
+use quva::{MappingPolicy, Pipeline};
 use quva_analysis::audit_compiled;
 use quva_benchmarks::Benchmark;
 use quva_device::Device;
@@ -70,34 +68,6 @@ pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, String> {
     .unwrap_or_else(|_| Err("job spec rejected: workload parameters out of range".to_string()))
 }
 
-/// The constructed-and-contract-checked pipeline for a policy, built
-/// once per process and shared across every job and worker thread
-/// (`CheckedPipeline` is `Sync`: passes are stateless, all mutable
-/// compile state lives in the per-run `PassContext`). Validation —
-/// the invariant-lattice walk — therefore happens once per distinct
-/// policy, not once per job; the `serve.pipeline.hit` /
-/// `serve.pipeline.miss` counters expose the reuse rate.
-fn checked_pipeline(policy: &MappingPolicy) -> Result<Arc<CheckedPipeline<'static>>, String> {
-    static PIPELINES: OnceLock<Mutex<HashMap<String, Arc<CheckedPipeline<'static>>>>> = OnceLock::new();
-    let cache = PIPELINES.get_or_init(|| Mutex::new(HashMap::new()));
-    // Debug form, not name(): it carries every policy parameter
-    // (MAH hop limit, native-policy seed), so distinct policies can
-    // never share a checked pipeline
-    let key = format!("{policy:?}");
-    let mut map = cache.lock().map_err(|_| "pipeline cache poisoned".to_string())?;
-    if let Some(pipeline) = map.get(&key) {
-        quva_obs::counter("serve.pipeline.hit", 1);
-        return Ok(Arc::clone(pipeline));
-    }
-    let checked = Pipeline::for_policy(policy)
-        .validate()
-        .map_err(|e| format!("pipeline rejected: {e}"))?;
-    quva_obs::counter("serve.pipeline.miss", 1);
-    let pipeline = Arc::new(checked);
-    map.insert(key, Arc::clone(&pipeline));
-    Ok(pipeline)
-}
-
 /// Runs a resolved job and renders its result as a one-line JSON
 /// object fragment (fixed key order — identical jobs render identical
 /// bytes).
@@ -126,7 +96,11 @@ pub fn execute_with(
     engine: McEngine,
     progress: Option<&(dyn Fn(u64, u64) + Sync)>,
 ) -> Result<String, String> {
-    let pipeline = checked_pipeline(&job.policy)?;
+    // building and checking a pipeline costs well under a microsecond,
+    // so each job builds its own
+    let pipeline = Pipeline::for_policy(&job.policy)
+        .validate()
+        .map_err(|e| format!("pipeline rejected: {e}"))?;
     let compiled = {
         // same span compile_with emits, so serve traces keep the
         // compile.total > compile.allocate/route nesting
@@ -250,24 +224,23 @@ mod tests {
     }
 
     #[test]
-    fn checked_pipeline_is_shared_across_jobs() {
-        let a = checked_pipeline(&quva::MappingPolicy::vqm()).unwrap();
-        let b = checked_pipeline(&quva::MappingPolicy::vqm()).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same policy must reuse the checked pipeline");
-        let c = checked_pipeline(&quva::MappingPolicy::baseline()).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "distinct policies must not share");
-    }
-
-    #[test]
     fn pipeline_reuse_matches_fresh_compile_bytes() {
-        // the cached CheckedPipeline must compile byte-identically to
-        // the one-shot MappingPolicy::compile path
+        // a checked pipeline run again on the same device (reading the
+        // tables the first run built) must compile byte-identically to
+        // the one-shot MappingPolicy::compile path on a fresh device
         let job = resolve(&spec(JobKind::Compile)).unwrap();
-        let via_pipeline = checked_pipeline(&job.policy)
-            .unwrap()
-            .run(job.benchmark.circuit(), &job.device)
+        let pipeline = Pipeline::for_policy(&job.policy).validate().unwrap();
+        let first = pipeline.run(job.benchmark.circuit(), &job.device).unwrap();
+        let via_pipeline = pipeline.run(job.benchmark.circuit(), &job.device).unwrap();
+        assert_eq!(
+            quva_circuit::qasm::to_qasm(first.physical()),
+            quva_circuit::qasm::to_qasm(via_pipeline.physical())
+        );
+        let fresh = resolve(&spec(JobKind::Compile)).unwrap();
+        let via_policy = fresh
+            .policy
+            .compile(fresh.benchmark.circuit(), &fresh.device)
             .unwrap();
-        let via_policy = job.policy.compile(job.benchmark.circuit(), &job.device).unwrap();
         assert_eq!(
             quva_circuit::qasm::to_qasm(via_pipeline.physical()),
             quva_circuit::qasm::to_qasm(via_policy.physical())
