@@ -25,12 +25,10 @@
 //! Coefficients calibrate against the committed `BENCH_sim.json`
 //! baseline via [`CostModel::from_bench`]; the defaults are derived
 //! from the same baseline and keep the analysis usable without the
-//! file. Envelopes are memoized per (device fingerprint, circuit
-//! fingerprint, trials, model) — the same structural keys the PST and
-//! ESP caches use.
-
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+//! file. Envelopes are not memoized. Their one costly input, the hop
+//! matrix, is built once per `Device` and shared with the compile that
+//! follows; the rest takes about a microsecond on q20, less than
+//! fingerprinting the device and circuit to key a memo.
 
 use quva_circuit::{Circuit, Gate, PhysQubit};
 use quva_device::Device;
@@ -228,24 +226,6 @@ impl CostModel {
             ..CostModel::default()
         })
     }
-
-    /// A structural fingerprint of the coefficients, used to key the
-    /// envelope memo cache (two models never alias unless every
-    /// coefficient is bit-identical).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in [
-            self.ns_per_event,
-            self.ns_per_route_unit,
-            self.mc_slack,
-            self.compile_slack,
-            self.bytes_per_event,
-        ] {
-            h ^= v.to_bits();
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
 }
 
 /// Fixed pessimistic overhead added to the Monte-Carlo `hi` bound:
@@ -307,7 +287,7 @@ impl CostEnvelope {
 }
 
 /// Computes the static cost envelope of `circuit` on `device` at a
-/// trial budget, uncached. Prefer [`envelope_of`], which memoizes.
+/// trial budget.
 pub fn cost_envelope(device: &Device, circuit: &Circuit, trials: u64, model: &CostModel) -> CostEnvelope {
     let _span = quva_obs::span("cost", "envelope");
     let hops = device.hop_matrix();
@@ -366,41 +346,9 @@ pub fn cost_envelope(device: &Device, circuit: &Circuit, trials: u64, model: &Co
     }
 }
 
-/// (device fingerprint, circuit fingerprint, trials, model fingerprint).
-type EnvelopeKey = (u64, u64, u64, u64);
-
-fn envelope_cache() -> &'static Mutex<HashMap<EnvelopeKey, CostEnvelope>> {
-    static CACHE: OnceLock<Mutex<HashMap<EnvelopeKey, CostEnvelope>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Memoized [`cost_envelope`]: results are cached process-wide, keyed
-/// by `Device::fingerprint` / `Circuit::fingerprint` (structural
-/// hashes — two seeds of the same generator never alias), the trial
-/// budget, and the model fingerprint. This is the entry point quvad's
-/// admission control calls on every job, so a repeated workload costs
-/// one map lookup.
-pub fn envelope_of(device: &Device, circuit: &Circuit, trials: u64, model: &CostModel) -> CostEnvelope {
-    let key = (
-        device.fingerprint(),
-        circuit.fingerprint(),
-        trials,
-        model.fingerprint(),
-    );
-    if let Ok(cache) = envelope_cache().lock() {
-        if let Some(&envelope) = cache.get(&key) {
-            quva_obs::counter("cost.cache.hit", 1);
-            return envelope;
-        }
-    }
-    quva_obs::counter("cost.cache.miss", 1);
-    let envelope = cost_envelope(device, circuit, trials, model);
-    if let Ok(mut cache) = envelope_cache().lock() {
-        cache.insert(key, envelope);
-        quva_obs::counter("cost.cache.insert", 1);
-    }
-    envelope
-}
+/// The former name of [`cost_envelope`], kept for callers that still
+/// use it.
+pub use self::cost_envelope as envelope_of;
 
 /// The QV4xx cost-budget pass: evaluates the static cost envelope of
 /// the *source* program against the configured budgets.
@@ -467,7 +415,7 @@ impl CompiledPass for CostBudget {
 
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         let trials = self.trials.unwrap_or(0);
-        let envelope = envelope_of(cx.device, cx.source, trials, &self.model);
+        let envelope = cost_envelope(cx.device, cx.source, trials, &self.model);
 
         if let Some(deadline_ms) = self.deadline_ms {
             if envelope.infeasible_for(deadline_ms) {

@@ -3,18 +3,23 @@
 //! Hand-rolled on purpose: the CLI needs exactly flags-with-values and
 //! positionals, and the workspace keeps its dependency set small.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
 /// Parsed command line: a subcommand, `--flag value` options, boolean
-/// `--flag` switches, and positionals.
+/// `--flag` switches, and positionals. It also records which options
+/// and switches the command has asked about, so one it never reads —
+/// a typo, or a flag another command takes — is reported instead of
+/// silently ignored (see [`ParsedArgs::reject_unread`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ParsedArgs {
     command: String,
     options: BTreeMap<String, String>,
     switches: Vec<String>,
     positionals: Vec<String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Error produced for malformed command lines.
@@ -74,8 +79,9 @@ impl ParsedArgs {
         &self.command
     }
 
-    /// An option's value, if present.
+    /// An option's value, if present. Marks the option read.
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.mark_read(name);
         self.options.get(name).map(String::as_str)
     }
 
@@ -94,9 +100,40 @@ impl ParsedArgs {
             .ok_or_else(|| ArgsError::new(format!("missing required option --{name}")))
     }
 
-    /// Whether a boolean switch was given.
+    /// Whether a boolean switch was given. Marks the switch read.
     pub fn has_switch(&self, name: &str) -> bool {
+        self.mark_read(name);
         self.switches.iter().any(|s| s == name)
+    }
+
+    fn mark_read(&self, name: &str) {
+        self.read.borrow_mut().insert(name.to_string());
+    }
+
+    /// Fails naming every option and switch on the command line that
+    /// the command has not read so far.
+    ///
+    /// # Errors
+    ///
+    /// Fails when any given option or switch is unread.
+    pub fn reject_unread(&self) -> Result<(), ArgsError> {
+        let read = self.read.borrow();
+        let unread: BTreeSet<&str> = self
+            .options
+            .keys()
+            .chain(&self.switches)
+            .map(String::as_str)
+            .filter(|name| !read.contains(*name))
+            .collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        let names: Vec<String> = unread.iter().map(|name| format!("--{name}")).collect();
+        Err(ArgsError::new(format!(
+            "`quva {}` does not use {}",
+            self.command,
+            names.join(", ")
+        )))
     }
 
     /// The positional arguments.

@@ -29,8 +29,18 @@ use crate::spec::{parse_benchmark, parse_device, parse_policy};
 /// # Errors
 ///
 /// Returns a message for unknown commands, malformed specs, I/O
-/// problems, or compilation failures.
+/// problems, or compilation failures, and fails naming every option or
+/// switch the command did not use.
 pub fn run(args: &ParsedArgs) -> Result<String, ArgsError> {
+    let out = run_observed(args)?;
+    args.reject_unread()?;
+    Ok(out)
+}
+
+/// [`run`] without the unused-option check: dispatches the command,
+/// wrapped in the `quva-obs` recorder when `--trace` or `--metrics`
+/// asks for it.
+fn run_observed(args: &ParsedArgs) -> Result<String, ArgsError> {
     let profiling = args.command() == "profile";
     // `trace-verify` reads a --trace file; never re-enter the recorder
     // for it (the wrapper would overwrite its input).
@@ -466,8 +476,10 @@ fn pipeline_from_names<'v>(
 /// and any violation makes the command exit nonzero, so CI can gate on
 /// pipeline configurations the same way it gates on lints.
 fn cmd_pipeline(args: &ParsedArgs) -> Result<String, ArgsError> {
-    if args.has_switch("compare") {
-        return cmd_pipeline_compare(args);
+    match (args.has_switch("check"), args.has_switch("compare")) {
+        (true, true) => return Err(ArgsError::new("give either --check or --compare, not both")),
+        (false, true) => return cmd_pipeline_compare(args),
+        _ => {}
     }
     let policy = parse_policy(args.get_or("policy", "vqa-vqm"))?;
     let width = portfolio_width(args)?;
@@ -795,7 +807,7 @@ fn cmd_cost(args: &ParsedArgs) -> Result<String, ArgsError> {
         }
         None => quva_analysis::CostModel::default(),
     };
-    let envelope = quva_analysis::envelope_of(&device, &program, trials, &model);
+    let envelope = quva_analysis::cost_envelope(&device, &program, trials, &model);
     let compiled_events = match args.get("policy") {
         Some(spec) => {
             let policy = parse_policy(spec)?;
@@ -1267,6 +1279,8 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, ArgsError> {
             .unwrap_or(defaults.journal_max_bytes),
         ..defaults
     };
+    // the daemon runs until stopped, so refuse an unused option now
+    args.reject_unread()?;
 
     let workers = config.workers;
     let queue = config.queue_capacity;
@@ -1406,6 +1420,8 @@ fn cmd_top(args: &ParsedArgs) -> Result<String, ArgsError> {
         std::time::Duration::from_millis(args.get_parsed::<u64>("interval-ms")?.unwrap_or(1000).max(50));
     let count: u64 = args.get_parsed("count")?.unwrap_or(0);
     let raw = args.has_switch("raw");
+    // with --count 0 this polls until interrupted: check options first
+    args.reject_unread()?;
     let stream = std::net::TcpStream::connect(addr)
         .map_err(|e| ArgsError::new(format!("cannot connect to {addr}: {e}")))?;
     let mut writer = stream
@@ -2158,5 +2174,137 @@ quvad_uptime_us 2500000\n";
         assert!(rendered.contains("workers alive 2"), "{rendered}");
         handle.shutdown();
         handle.join();
+    }
+
+    #[test]
+    fn unused_options_are_rejected_by_name() {
+        let err = run_line(&[
+            "compile",
+            "--device",
+            "q20",
+            "--policy",
+            "vqm",
+            "--bench",
+            "bv:8",
+            "--bogus-option",
+            "3",
+        ])
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("--bogus-option"), "{err}");
+        let err = run_line(&[
+            "simulate", "--device", "q20", "--bench", "bv:8", "--passes", "route", "--width", "9",
+        ])
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("--passes, --width"), "{err}");
+        // --check is pipeline's default mode, so naming it is no error
+        run_line(&["pipeline", "--check", "--policy", "vqm"]).unwrap();
+    }
+
+    /// Shell values standing in for the CI workflow's loop variables:
+    /// one representative value each, longer names first (`$p` is a
+    /// prefix of `$passes`).
+    const CI_VARIABLES: &[(&str, &str)] = &[
+        ("$passes", "allocate,portfolio,select,verify"),
+        ("$qasm", "program.qasm"),
+        ("$out", "trace-out/out"),
+        ("$p", "vqa-vqm"),
+        ("$b", "bv:16"),
+        ("$e", "bitparallel"),
+        ("$1", "route"),
+    ];
+
+    /// The argv of every `quva` command line in `usage()`'s EXAMPLES and
+    /// in the CI workflow (continuation lines joined, shell variables
+    /// replaced by [`CI_VARIABLES`], redirections dropped).
+    fn documented_command_lines() -> Vec<Vec<String>> {
+        let usage = usage();
+        let (_, examples) = usage.split_once("EXAMPLES:").unwrap();
+        let examples = examples
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("quva "))
+            .map(str::to_string);
+        let ci = include_str!("../../../.github/workflows/ci.yml").replace("\\\n", " ");
+        let ci_lines = ci.lines().filter_map(|l| {
+            let (_, rest) = l
+                .split_once("target/release/quva ")
+                .or_else(|| l.split_once("--bin quva -- "))?;
+            let mut line = rest.to_string();
+            for (var, value) in CI_VARIABLES {
+                line = line.replace(var, value);
+            }
+            Some(line)
+        });
+        examples
+            .chain(ci_lines)
+            .map(|line| {
+                line.split_whitespace()
+                    .map(|tok| tok.trim_matches('"'))
+                    .take_while(|tok| !tok.starts_with(['>', '|', ';']) && !tok.starts_with("2>"))
+                    .filter(|tok| *tok != "$@")
+                    .inspect(|tok| assert!(!tok.contains('$'), "no value for {tok} in CI_VARIABLES"))
+                    .map(str::to_string)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn documented_command_lines_use_every_option() {
+        let dir = std::env::temp_dir().join(format!("quva-cli-documented-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("program.qasm"),
+            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\n\
+             measure q[0] -> c[0];\nmeasure q[1] -> c[1];\n",
+        )
+        .unwrap();
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let lines = documented_command_lines();
+        assert!(lines.len() > 40, "{lines:?}");
+        for line in lines {
+            // files the repository holds are read from it; every other
+            // path lands in the scratch directory
+            let argv: Vec<String> = line
+                .iter()
+                .map(|tok| {
+                    let is_path = tok.contains('/') || tok.ends_with(".json") || tok.ends_with(".qasm");
+                    match (is_path, root.join(tok).exists()) {
+                        (false, _) => tok.clone(),
+                        (true, true) => root.join(tok).display().to_string(),
+                        (true, false) => dir.join(tok.replace('/', "_")).display().to_string(),
+                    }
+                })
+                .collect();
+            // serve and top run until stopped: point them where they
+            // fail at once, after reading their options
+            let (argv, refusal) = match argv[0].as_str() {
+                "serve" => {
+                    let mut argv = argv;
+                    if let Some(at) = argv.iter().position(|tok| tok == "--listen") {
+                        argv.drain(at..at + 2);
+                    }
+                    let unbindable = dir.join("no-such-dir").join("quvad.sock");
+                    argv.extend(["--socket".to_string(), unbindable.display().to_string()]);
+                    (argv, Some("cannot bind"))
+                }
+                "top" => (
+                    [argv, vec!["--addr".to_string(), "127.0.0.1:0".to_string()]].concat(),
+                    Some("cannot connect"),
+                ),
+                _ => (argv, None),
+            };
+            let args = ParsedArgs::parse(&argv, crate::SWITCHES).unwrap();
+            let result = run(&args);
+            if let Some(refusal) = refusal {
+                let err = result.unwrap_err().to_string();
+                assert!(err.contains(refusal), "{line:?}: {err}");
+            }
+            // any other outcome may be a deliberate failure (a refused
+            // pipeline); only the options matter here
+            args.reject_unread().unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

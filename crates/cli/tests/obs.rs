@@ -123,10 +123,9 @@ fn compile_trace_schema_matches_golden() {
     let path = temp_path("compile_schema.json");
     // compile once untraced first, so any process-global memo on the
     // compile path is warm and the traced run records the same counters
-    // whatever order this binary's tests run in. `--verify` runs only
-    // the passes that can report an error, so it no longer reaches the
-    // cost-envelope memo and the golden holds no cache counter today;
-    // the warm-up keeps that true if a memo joins the path later
+    // whatever order this binary's tests run in. The compile path has
+    // no such memo today, so the golden holds no cache counter; the
+    // warm-up keeps that true if a memo joins the path later
     run(&[
         "compile", "--device", "q20", "--policy", "vqm", "--bench", "bv:8", "--verify",
     ]);

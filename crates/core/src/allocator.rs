@@ -79,7 +79,7 @@ impl AllocationStrategy {
             return Err(format!("circuit needs {k} qubits, device has {n}"));
         }
         match *self {
-            AllocationStrategy::GreedyInteraction => Ok(greedy_interaction(circuit, device, None)),
+            AllocationStrategy::GreedyInteraction => Ok(greedy_interaction(circuit, device)),
             AllocationStrategy::StrongestSubgraph {
                 activity_window,
                 readout_aware,
@@ -89,22 +89,17 @@ impl AllocationStrategy {
     }
 }
 
-/// Greedy interaction placement, optionally restricted to a candidate
-/// region. Program qubits are placed in descending interaction-degree
-/// order; each lands on the free candidate qubit minimizing the
-/// interaction-weighted distance to its already-placed partners (hop
-/// distance for the baseline, reliability distance when `weighted`
-/// carries a reliability matrix).
-fn greedy_interaction(circuit: &Circuit, device: &Device, region: Option<&[PhysQubit]>) -> Mapping {
+/// Greedy interaction placement over the whole device. Program qubits
+/// are placed in connectivity order; each lands on the free physical
+/// qubit minimizing the CNOT-weighted hop distance to its already-placed
+/// partners (ties go to the more central qubit), and a local exchange
+/// search then refines the placement.
+fn greedy_interaction(circuit: &Circuit, device: &Device) -> Mapping {
     let ig = InteractionGraph::of(circuit);
     let hops = device.hop_matrix();
     let k = circuit.num_qubits();
     let n = device.num_qubits();
-
-    let candidates: Vec<PhysQubit> = match region {
-        Some(r) => r.to_vec(),
-        None => device.topology().qubits().collect(),
-    };
+    let candidates: Vec<PhysQubit> = device.topology().qubits().collect();
 
     // placement order: start from the heaviest program qubit, then
     // repeatedly take the unplaced qubit most connected to the placed

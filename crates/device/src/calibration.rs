@@ -349,7 +349,13 @@ impl Calibration {
     /// mean by `cov_factor` (1.0 = unchanged, 2.0 = double the
     /// coefficient of variation), clamped to `[1e-5, 0.5]`. Used for the
     /// Table 2 "2×Cov" scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cov_factor` is NaN or infinite: the clamp passes NaN
+    /// through, which would break the `[0, 1)` error-rate invariant.
     pub fn with_two_qubit_cov_scaled(&self, cov_factor: f64) -> Self {
+        assert!(cov_factor.is_finite(), "cov factor {cov_factor} is not finite");
         let mu = self.mean_two_qubit_error();
         let err_2q = self
             .err_2q
@@ -540,6 +546,18 @@ mod tests {
         let spread = c.with_two_qubit_cov_scaled(2.0);
         assert!((spread.mean_two_qubit_error() - c.mean_two_qubit_error()).abs() < 1e-12);
         assert!((spread.two_qubit_cov() / c.two_qubit_cov() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn cov_scaling_by_nan_panics() {
+        let _ = Calibration::uniform(&topo(), 0.04, 0.0, 0.0).with_two_qubit_cov_scaled(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn cov_scaling_by_infinity_panics() {
+        let _ = Calibration::uniform(&topo(), 0.04, 0.0, 0.0).with_two_qubit_cov_scaled(f64::INFINITY);
     }
 
     #[test]

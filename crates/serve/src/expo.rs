@@ -15,10 +15,9 @@
 //! time. Lifetime `_count` and `_sum` are kept separately, so `_count`
 //! stays deterministic for a deterministic workload.
 
-use std::sync::atomic::Ordering;
 use std::sync::{Mutex, PoisonError};
 
-use crate::metrics::ServeMetrics;
+use crate::metrics::Stats;
 
 /// The verbs whose request latency is tracked, in the (sorted) order
 /// their exposition lines render. Every verb always renders, zeros
@@ -103,18 +102,14 @@ impl LatencyRecorder {
 /// Everything one exposition snapshot needs, gathered by the server.
 #[derive(Debug)]
 pub struct ExpoInputs<'a> {
-    /// The daemon's lifetime counters.
-    pub metrics: &'a ServeMetrics,
+    /// The daemon's lifetime counters, read once for this snapshot.
+    pub stats: Stats,
     /// Per-verb request latency.
     pub latency: &'a LatencyRecorder,
     /// Jobs currently queued (gauge).
     pub queue_depth: usize,
     /// Worker threads currently running their loop (gauge).
     pub workers_alive: u64,
-    /// Flight-ring evictions since arm (`quva_obs::flight::dropped`).
-    pub flight_dropped: u64,
-    /// Lifetime bytes appended to the audit journal.
-    pub journal_bytes: u64,
     /// Anomaly dumps written, per trigger, in [`crate::dump::TRIGGERS`]
     /// order (all triggers always present).
     pub dumps: Vec<(&'static str, u64)>,
@@ -123,56 +118,13 @@ pub struct ExpoInputs<'a> {
     pub uptime_us: u64,
 }
 
-/// The lifetime counters in their fixed exposition order (a subset of
-/// prometheus naming derived from the `stats` JSON keys).
-const COUNTERS: &[&str] = &[
-    "requests",
-    "ok",
-    "errors",
-    "overloaded",
-    "deadline_exceeded",
-    "shutting_down",
-    "cache_hits",
-    "cache_misses",
-    "shed",
-    "worker_panics",
-    "worker_respawns",
-    "connections",
-    "connections_rejected",
-    "malformed_frames",
-    "jobs_infeasible",
-];
-
-fn counter_value(m: &ServeMetrics, name: &str) -> u64 {
-    let g = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-    match name {
-        "requests" => g(&m.requests),
-        "ok" => g(&m.ok),
-        "errors" => g(&m.errors),
-        "overloaded" => g(&m.overloaded),
-        "deadline_exceeded" => g(&m.deadline_exceeded),
-        "shutting_down" => g(&m.shutting_down),
-        "cache_hits" => g(&m.cache_hits),
-        "cache_misses" => g(&m.cache_misses),
-        "shed" => g(&m.shed),
-        "worker_panics" => g(&m.worker_panics),
-        "worker_respawns" => g(&m.worker_respawns),
-        "connections" => g(&m.connections),
-        "connections_rejected" => g(&m.connections_rejected),
-        "malformed_frames" => g(&m.malformed_frames),
-        "jobs_infeasible" => g(&m.jobs_infeasible),
-        _ => 0,
-    }
-}
-
 /// Renders the full exposition. Line set and order are fixed; only
 /// values vary between snapshots.
 pub fn render_exposition(inputs: &ExpoInputs) -> String {
     let mut out = String::with_capacity(4096);
-    for name in COUNTERS {
+    for (key, value) in inputs.stats.counters() {
         out.push_str(&format!(
-            "# TYPE quvad_{name}_total counter\nquvad_{name}_total {}\n",
-            counter_value(inputs.metrics, name)
+            "# TYPE quvad_{key}_total counter\nquvad_{key}_total {value}\n"
         ));
     }
     out.push_str(&format!(
@@ -185,11 +137,11 @@ pub fn render_exposition(inputs: &ExpoInputs) -> String {
     ));
     out.push_str(&format!(
         "# TYPE quvad_flight_dropped_total counter\nquvad_flight_dropped_total {}\n",
-        inputs.flight_dropped
+        inputs.stats.dropped_events
     ));
     out.push_str(&format!(
         "# TYPE quvad_journal_bytes_total counter\nquvad_journal_bytes_total {}\n",
-        inputs.journal_bytes
+        inputs.stats.journal_bytes
     ));
     out.push_str("# TYPE quvad_dumps_total counter\n");
     for (trigger, n) in &inputs.dumps {
@@ -226,17 +178,15 @@ pub fn is_timing_line(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ServeMetrics;
 
     fn render_empty() -> String {
         let latency = LatencyRecorder::default();
-        let metrics = ServeMetrics::default();
         render_exposition(&ExpoInputs {
-            metrics: &metrics,
+            stats: ServeMetrics::default().snapshot(0, 0),
             latency: &latency,
             queue_depth: 0,
             workers_alive: 2,
-            flight_dropped: 0,
-            journal_bytes: 0,
             dumps: crate::dump::TRIGGERS.iter().map(|t| (*t, 0)).collect(),
             uptime_us: 0,
         })

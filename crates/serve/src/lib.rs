@@ -82,7 +82,7 @@ pub use cache::{CacheKey, ResultCache};
 pub use dump::{DumpSink, DUMP_HEADER_FIELDS, DUMP_SCHEMA, TRIGGERS};
 pub use expo::{is_timing_line, render_exposition, ExpoInputs, LatencyRecorder};
 pub use journal::{Journal, JournalRecord, JOURNAL_FIELDS, JOURNAL_SCHEMA};
-pub use metrics::ServeMetrics;
+pub use metrics::{Counter, ServeMetrics, Stats, COUNTERS};
 pub use protocol::{
     parse_request, progress_frame, JobKind, JobSpec, ProtocolError, Request, RequestKind, Response,
     MAX_FRAME_BYTES,

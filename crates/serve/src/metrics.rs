@@ -1,91 +1,135 @@
 //! Daemon-lifetime counters, readable over the wire via a `stats`
-//! request.
+//! request and the `metrics` exposition.
 //!
-//! These are plain atomics, always on — unlike `quva-obs` (which the
-//! server *also* feeds when recording is enabled), the stats endpoint
-//! must answer even in production runs with tracing disabled. Counter
-//! order in the rendered JSON is fixed, so stats lines diff cleanly.
+//! Each counter is declared once, as a row of [`COUNTERS`]: its `stats`
+//! key and, if it has one, its trace twin — the `quva-obs` counter
+//! [`ServeMetrics::bump`] adds to alongside the atomic, so the two
+//! always agree. The atomics are always on: unlike `quva-obs`, the
+//! stats endpoint must answer even in production runs with tracing
+//! disabled. Key order in the rendered JSON is fixed, so stats lines
+//! diff cleanly.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lifetime counters for one server instance.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Frames received (well-formed or not).
-    pub requests: AtomicU64,
+/// Declares [`Counter`] and [`COUNTERS`] from one list, so a variant
+/// and its table row cannot drift apart.
+macro_rules! counter_table {
+    ($($(#[$doc:meta])+ $name:ident => $key:literal, $twin:expr;)+) => {
+        /// A counter the daemon bumps; its discriminant indexes
+        /// [`COUNTERS`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[$doc])+ $name,)+
+        }
+
+        /// The counter table, in `stats` and exposition order: each
+        /// row's `stats` key (its exposition line is
+        /// `quvad_<key>_total`) and its trace twin, if any.
+        pub const COUNTERS: &[(&str, Option<&str>)] = &[$(($key, $twin),)+];
+    };
+}
+
+counter_table! {
+    /// UTF-8 frames handed to the protocol parser, well-formed or not.
+    Requests => "requests", Some("serve.requests");
     /// Responses with status `ok`.
-    pub ok: AtomicU64,
+    Ok => "ok", None;
     /// Responses with status `error` (malformed frames included).
-    pub errors: AtomicU64,
-    /// Responses with status `overloaded`.
-    pub overloaded: AtomicU64,
+    Errors => "errors", None;
+    /// Responses with status `overloaded`: a full queue's refusal and a
+    /// shed job's own reply.
+    Overloaded => "overloaded", Some("serve.retry_after");
     /// Responses with status `deadline_exceeded`.
-    pub deadline_exceeded: AtomicU64,
+    DeadlineExceeded => "deadline_exceeded", Some("serve.deadline_exceeded");
     /// Responses with status `shutting_down`.
-    pub shutting_down: AtomicU64,
+    ShuttingDown => "shutting_down", None;
     /// Job results served straight from the cache.
-    pub cache_hits: AtomicU64,
-    /// Jobs executed by a worker (cache misses).
-    pub cache_misses: AtomicU64,
+    CacheHits => "cache_hits", Some("serve.cache.hit");
+    /// Jobs queued for a worker (cache misses).
+    CacheMisses => "cache_misses", None;
     /// Queued jobs evicted by higher-priority arrivals.
-    pub shed: AtomicU64,
-    /// Worker panics caught and converted to error responses.
-    pub worker_panics: AtomicU64,
+    Shed => "shed", Some("serve.shed");
+    /// Worker panics caught, by the per-job guard or the supervisor
+    /// backstop.
+    WorkerPanics => "worker_panics", Some("serve.worker.panic");
     /// Worker loops re-armed after a caught panic.
-    pub worker_respawns: AtomicU64,
+    WorkerRespawns => "worker_respawns", Some("serve.worker.respawn");
     /// Connections accepted.
-    pub connections: AtomicU64,
+    Connections => "connections", Some("serve.connections");
     /// Connections refused at the accept gate (too many open).
-    pub connections_rejected: AtomicU64,
-    /// Frames that failed protocol parsing.
-    pub malformed_frames: AtomicU64,
+    ConnectionsRejected => "connections_rejected", None;
+    /// Frames that are not UTF-8, exceed the byte limit, or fail
+    /// protocol parsing.
+    MalformedFrames => "malformed_frames", Some("serve.malformed");
     /// Jobs rejected at admission because even the optimistic static
     /// cost bound exceeded their deadline (status `infeasible`). These
     /// never reach a worker.
-    pub jobs_infeasible: AtomicU64,
-    /// Flight-recorder ring evictions (synced from
-    /// `quva_obs::flight::dropped` before each render). Appended after
-    /// the original keys to preserve the fixed-order contract.
-    pub dropped_events: AtomicU64,
-    /// Lifetime bytes appended to the audit journal (synced before
-    /// each render; 0 when no journal is configured).
-    pub journal_bytes: AtomicU64,
+    JobsInfeasible => "jobs_infeasible", Some("serve.infeasible");
+}
+
+/// Lifetime counters for one server instance, one atomic per
+/// [`COUNTERS`] row.
+#[derive(Debug, Default)]
+pub struct ServeMetrics {
+    counts: [AtomicU64; COUNTERS.len()],
 }
 
 impl ServeMetrics {
-    /// Adds one to a counter.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Adds one to `counter` and to its trace twin (the twin only while
+    /// the `quva-obs` recorder is enabled).
+    pub fn bump(&self, counter: Counter) {
+        let row = counter as usize;
+        self.counts[row].fetch_add(1, Ordering::Relaxed);
+        if let Some(twin) = COUNTERS[row].1 {
+            quva_obs::counter(twin, 1);
+        }
     }
 
-    /// Renders the counters as a one-line JSON object with fixed key
-    /// order.
+    /// Reads every counter. The last two `stats` fields are not
+    /// counted here but read from their sources by the caller:
+    /// flight-ring evictions and audit-journal bytes.
+    pub fn snapshot(&self, dropped_events: u64, journal_bytes: u64) -> Stats {
+        Stats {
+            counts: std::array::from_fn(|row| self.counts[row].load(Ordering::Relaxed)),
+            dropped_events,
+            journal_bytes,
+        }
+    }
+}
+
+/// One reading of every `stats` field, taken once per render.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stats {
+    /// Counter values in [`COUNTERS`] order.
+    pub counts: [u64; COUNTERS.len()],
+    /// Flight-recorder ring evictions since arm
+    /// (`quva_obs::flight::dropped`).
+    pub dropped_events: u64,
+    /// Lifetime bytes appended to the audit journal (0 when no journal
+    /// is configured).
+    pub journal_bytes: u64,
+}
+
+impl Stats {
+    /// `(stats key, value)` for every table row, in order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        COUNTERS.iter().map(|row| row.0).zip(self.counts.iter().copied())
+    }
+
+    /// Renders the one-line `stats` JSON object with fixed key order:
+    /// the table's keys, then `dropped_events` and `journal_bytes`.
     pub fn render_json(&self) -> String {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            "{{\"requests\":{},\"ok\":{},\"errors\":{},\"overloaded\":{},\"deadline_exceeded\":{},\
-             \"shutting_down\":{},\"cache_hits\":{},\"cache_misses\":{},\"shed\":{},\
-             \"worker_panics\":{},\"worker_respawns\":{},\"connections\":{},\
-             \"connections_rejected\":{},\"malformed_frames\":{},\"jobs_infeasible\":{},\
-             \"dropped_events\":{},\"journal_bytes\":{}}}",
-            g(&self.requests),
-            g(&self.ok),
-            g(&self.errors),
-            g(&self.overloaded),
-            g(&self.deadline_exceeded),
-            g(&self.shutting_down),
-            g(&self.cache_hits),
-            g(&self.cache_misses),
-            g(&self.shed),
-            g(&self.worker_panics),
-            g(&self.worker_respawns),
-            g(&self.connections),
-            g(&self.connections_rejected),
-            g(&self.malformed_frames),
-            g(&self.jobs_infeasible),
-            g(&self.dropped_events),
-            g(&self.journal_bytes)
-        )
+        let mut out = String::from("{");
+        for (key, value) in self.counters() {
+            let _ = write!(out, "\"{key}\":{value},");
+        }
+        let _ = write!(
+            out,
+            "\"dropped_events\":{},\"journal_bytes\":{}}}",
+            self.dropped_events, self.journal_bytes
+        );
+        out
     }
 }
 
@@ -96,10 +140,10 @@ mod tests {
     #[test]
     fn renders_fixed_order_and_reparses() {
         let m = ServeMetrics::default();
-        ServeMetrics::bump(&m.requests);
-        ServeMetrics::bump(&m.requests);
-        ServeMetrics::bump(&m.cache_hits);
-        let json = m.render_json();
+        m.bump(Counter::Requests);
+        m.bump(Counter::Requests);
+        m.bump(Counter::CacheHits);
+        let json = m.snapshot(0, 0).render_json();
         assert!(json.starts_with("{\"requests\":2,"), "{json}");
         let doc = quva_obs::parse_json(&json).unwrap();
         assert_eq!(doc.get("cache_hits").and_then(|v| v.as_f64()), Some(1.0));
@@ -111,9 +155,7 @@ mod tests {
         // the byte-determinism contract: existing consumers parse by
         // position up to jobs_infeasible; new fields only ever append
         let m = ServeMetrics::default();
-        m.dropped_events.store(7, Ordering::Relaxed);
-        m.journal_bytes.store(512, Ordering::Relaxed);
-        let json = m.render_json();
+        let json = m.snapshot(7, 512).render_json();
         assert!(
             json.ends_with(",\"jobs_infeasible\":0,\"dropped_events\":7,\"journal_bytes\":512}"),
             "{json}"

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use quva_analysis::{envelope_of, CostModel};
+use quva_analysis::{cost_envelope, CostModel};
 use quva_obs::json_escape;
 use quva_sim::{McEngine, McKernel};
 
@@ -45,7 +45,7 @@ use crate::dump::DumpSink;
 use crate::exec::{execute, execute_with, resolve, ResolvedJob};
 use crate::expo::{self, LatencyRecorder};
 use crate::journal::{Journal, JournalRecord};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Counter, ServeMetrics, Stats};
 use crate::protocol::{
     parse_request, progress_frame, JobKind, JobSpec, RequestKind, Response, MAX_FRAME_BYTES,
 };
@@ -220,33 +220,25 @@ impl Shared {
         self.config.retry_after_ms.max(drain_ms)
     }
 
-    /// Refreshes the metric fields that mirror external telemetry
-    /// sources (flight-ring drops, journal size). Called immediately
-    /// before every `stats` / exposition render so both read current
-    /// values.
-    fn sync_telemetry(&self) {
-        self.metrics
-            .dropped_events
-            .store(quva_obs::flight::dropped(), Ordering::Relaxed);
-        let journal_bytes = self.journal.as_ref().map_or(0, |j| j.bytes_written());
-        self.metrics.journal_bytes.store(journal_bytes, Ordering::Relaxed);
+    /// Reads every `stats` field once: the counter table, flight-ring
+    /// evictions and the audit journal's lifetime bytes.
+    fn stats(&self) -> Stats {
+        let journal_bytes = self.journal.as_ref().map_or(0, Journal::bytes_written);
+        self.metrics.snapshot(quva_obs::flight::dropped(), journal_bytes)
     }
 
     /// Renders the Prometheus-style text exposition for the `metrics`
     /// verb — byte-deterministic modulo timing-valued lines.
     fn render_exposition(&self) -> String {
-        self.sync_telemetry();
         let dumps = match &self.dump {
             Some(d) => d.counts(),
             None => crate::dump::TRIGGERS.iter().map(|t| (*t, 0)).collect(),
         };
         expo::render_exposition(&expo::ExpoInputs {
-            metrics: &self.metrics,
+            stats: self.stats(),
             latency: &self.latency,
             queue_depth: self.queue.len(),
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
-            flight_dropped: quva_obs::flight::dropped(),
-            journal_bytes: self.metrics.journal_bytes.load(Ordering::Relaxed),
             dumps,
             uptime_us: self.started.elapsed().as_micros() as u64,
         })
@@ -258,13 +250,11 @@ impl Shared {
     fn handle_frame(&self, line: &str, emit: &mut dyn FnMut(&str) -> io::Result<()>) -> FrameOutcome {
         let _span = quva_obs::span("serve", "request");
         let frame_started = Instant::now();
-        ServeMetrics::bump(&self.metrics.requests);
-        quva_obs::counter("serve.requests", 1);
+        self.metrics.bump(Counter::Requests);
         let request = match parse_request(line) {
             Err(e) => {
-                ServeMetrics::bump(&self.metrics.malformed_frames);
-                ServeMetrics::bump(&self.metrics.errors);
-                quva_obs::counter("serve.malformed", 1);
+                self.metrics.bump(Counter::MalformedFrames);
+                self.metrics.bump(Counter::Errors);
                 return FrameOutcome::Reply(
                     Response::Error {
                         id: e.id,
@@ -286,7 +276,7 @@ impl Shared {
         };
         let outcome = match request.kind {
             RequestKind::Ping => {
-                ServeMetrics::bump(&self.metrics.ok);
+                self.metrics.bump(Counter::Ok);
                 FrameOutcome::Reply(
                     Response::Ok {
                         id,
@@ -296,18 +286,17 @@ impl Shared {
                 )
             }
             RequestKind::Stats => {
-                ServeMetrics::bump(&self.metrics.ok);
-                self.sync_telemetry();
+                self.metrics.bump(Counter::Ok);
                 FrameOutcome::Reply(
                     Response::Ok {
                         id,
-                        result: self.metrics.render_json(),
+                        result: self.stats().render_json(),
                     }
                     .render(),
                 )
             }
             RequestKind::Metrics => {
-                ServeMetrics::bump(&self.metrics.ok);
+                self.metrics.bump(Counter::Ok);
                 let exposition = self.render_exposition();
                 FrameOutcome::Reply(
                     Response::Ok {
@@ -318,7 +307,7 @@ impl Shared {
                 )
             }
             RequestKind::Shutdown => {
-                ServeMetrics::bump(&self.metrics.ok);
+                self.metrics.bump(Counter::Ok);
                 FrameOutcome::ReplyThenDrain(
                     Response::Ok {
                         id,
@@ -329,7 +318,7 @@ impl Shared {
             }
             RequestKind::Panic => {
                 if !self.config.chaos_panics {
-                    ServeMetrics::bump(&self.metrics.errors);
+                    self.metrics.bump(Counter::Errors);
                     return FrameOutcome::Reply(
                         Response::Error {
                             id,
@@ -393,14 +382,14 @@ impl Shared {
         record: &mut JournalRecord,
     ) -> String {
         if self.draining() {
-            ServeMetrics::bump(&self.metrics.shutting_down);
+            self.metrics.bump(Counter::ShuttingDown);
             record.admission = "draining";
             record.outcome = "shutting_down".to_string();
             return Response::ShuttingDown { id }.render();
         }
         let resolved = match resolve(&spec) {
             Err(message) => {
-                ServeMetrics::bump(&self.metrics.errors);
+                self.metrics.bump(Counter::Errors);
                 record.outcome = "error".to_string();
                 return Response::Error { id, message }.render();
             }
@@ -408,9 +397,8 @@ impl Shared {
         };
         // cache first: saturation cannot delay a result we already have
         if let Some(hit) = self.cache.get(&resolved.key) {
-            ServeMetrics::bump(&self.metrics.cache_hits);
-            quva_obs::counter("serve.cache.hit", 1);
-            ServeMetrics::bump(&self.metrics.ok);
+            self.metrics.bump(Counter::CacheHits);
+            self.metrics.bump(Counter::Ok);
             record.admission = "cache";
             record.cache_hit = true;
             record.outcome = "ok".to_string();
@@ -427,7 +415,7 @@ impl Shared {
         // the connection thread — it never occupies a queue slot or a
         // worker. Rejecting on `lo` (never `hi`) keeps loose
         // pessimistic bounds from causing false rejections.
-        let envelope = envelope_of(
+        let envelope = cost_envelope(
             &resolved.device,
             resolved.benchmark.circuit(),
             spec.trials,
@@ -436,8 +424,7 @@ impl Shared {
         record.envelope_lo_ms = envelope.predicted_ms_lo();
         record.envelope_hi_ms = (envelope.total_ns().hi / 1e6).ceil() as u64;
         if envelope.infeasible_for(deadline_ms) {
-            ServeMetrics::bump(&self.metrics.jobs_infeasible);
-            quva_obs::counter("serve.infeasible", 1);
+            self.metrics.bump(Counter::JobsInfeasible);
             record.admission = "infeasible";
             record.outcome = "infeasible".to_string();
             return Response::Infeasible {
@@ -498,16 +485,14 @@ impl Shared {
             Push::Admitted => {}
             Push::Shed(loser) => {
                 // lower-priority queued job evicted to make room
-                ServeMetrics::bump(&self.metrics.shed);
-                quva_obs::counter("serve.shed", 1);
+                self.metrics.bump(Counter::Shed);
                 if let Some(dump) = &self.dump {
                     dump.record("shed_weakest", &loser.id);
                 }
                 let _ = loser.reply.send(JobOutcome::Shed);
             }
             Push::Rejected(_) => {
-                ServeMetrics::bump(&self.metrics.overloaded);
-                quva_obs::counter("serve.retry_after", 1);
+                self.metrics.bump(Counter::Overloaded);
                 if let Some(dump) = &self.dump {
                     dump.record("queue_flood", &id);
                 }
@@ -521,11 +506,11 @@ impl Shared {
                 );
             }
             Push::Closed(_) => {
-                ServeMetrics::bump(&self.metrics.shutting_down);
+                self.metrics.bump(Counter::ShuttingDown);
                 return (Response::ShuttingDown { id }.render(), "shutting_down");
             }
         }
-        ServeMetrics::bump(&self.metrics.cache_misses);
+        self.metrics.bump(Counter::CacheMisses);
         quva_obs::observe("serve.queue.depth", self.queue.len() as f64);
         let deadline_at = Instant::now() + Duration::from_millis(deadline_ms);
         loop {
@@ -541,7 +526,7 @@ impl Shared {
                     continue;
                 }
                 Ok(JobOutcome::Done(result)) => {
-                    ServeMetrics::bump(&self.metrics.ok);
+                    self.metrics.bump(Counter::Ok);
                     (
                         Response::Ok {
                             id,
@@ -552,11 +537,11 @@ impl Shared {
                     )
                 }
                 Ok(JobOutcome::Failed(message)) => {
-                    ServeMetrics::bump(&self.metrics.errors);
+                    self.metrics.bump(Counter::Errors);
                     (Response::Error { id, message }.render(), "error")
                 }
                 Ok(JobOutcome::Shed) => {
-                    ServeMetrics::bump(&self.metrics.overloaded);
+                    self.metrics.bump(Counter::Overloaded);
                     (
                         Response::Overloaded {
                             id,
@@ -567,8 +552,7 @@ impl Shared {
                     )
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    ServeMetrics::bump(&self.metrics.deadline_exceeded);
-                    quva_obs::counter("serve.deadline_exceeded", 1);
+                    self.metrics.bump(Counter::DeadlineExceeded);
                     if let Some(dump) = &self.dump {
                         dump.record("deadline_exceeded", &id);
                     }
@@ -579,7 +563,7 @@ impl Shared {
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     // worker died between pop and reply — backstop path
-                    ServeMetrics::bump(&self.metrics.errors);
+                    self.metrics.bump(Counter::Errors);
                     (
                         Response::Error {
                             id,
@@ -621,8 +605,7 @@ fn worker_iterations(shared: &Shared) -> WorkerExit {
             Work::InjectedPanic => {
                 let caught = catch_unwind(AssertUnwindSafe(|| -> () { panic!("injected chaos panic") }));
                 if let Err(payload) = caught {
-                    ServeMetrics::bump(&shared.metrics.worker_panics);
-                    quva_obs::counter("serve.worker.panic", 1);
+                    shared.metrics.bump(Counter::WorkerPanics);
                     if let Some(dump) = &shared.dump {
                         dump.record("worker_panic", &job.id);
                     }
@@ -669,8 +652,7 @@ fn worker_iterations(shared: &Shared) -> WorkerExit {
                         let _ = job.reply.send(JobOutcome::Failed(message));
                     }
                     Err(payload) => {
-                        ServeMetrics::bump(&shared.metrics.worker_panics);
-                        quva_obs::counter("serve.worker.panic", 1);
+                        shared.metrics.bump(Counter::WorkerPanics);
                         let _ = job.reply.send(JobOutcome::Failed(format!(
                             "worker panicked: {}",
                             panic_text(payload.as_ref())
@@ -690,8 +672,7 @@ fn worker_main(shared: &Arc<Shared>) {
         match catch_unwind(AssertUnwindSafe(|| worker_iterations(shared))) {
             Ok(WorkerExit::Drained) => break,
             Ok(WorkerExit::Respawn) => {
-                ServeMetrics::bump(&shared.metrics.worker_respawns);
-                quva_obs::counter("serve.worker.respawn", 1);
+                shared.metrics.bump(Counter::WorkerRespawns);
                 // flush *before* the replacement loop starts: the
                 // respawn counter and any records buffered before the
                 // panic must be visible to a mid-run drain, not parked
@@ -700,9 +681,8 @@ fn worker_main(shared: &Arc<Shared>) {
             }
             Err(_) => {
                 // a panic escaped the per-job guard (supervisor backstop)
-                ServeMetrics::bump(&shared.metrics.worker_panics);
-                ServeMetrics::bump(&shared.metrics.worker_respawns);
-                quva_obs::counter("serve.worker.respawn", 1);
+                shared.metrics.bump(Counter::WorkerPanics);
+                shared.metrics.bump(Counter::WorkerRespawns);
                 if let Some(dump) = &shared.dump {
                     dump.record("worker_panic", "");
                 }
@@ -833,8 +813,8 @@ fn handle_connection(mut stream: Stream, shared: &Arc<Shared>) {
                     shared.handle_frame(&text, &mut emit)
                 }
                 Err(_) => {
-                    ServeMetrics::bump(&shared.metrics.malformed_frames);
-                    ServeMetrics::bump(&shared.metrics.errors);
+                    shared.metrics.bump(Counter::MalformedFrames);
+                    shared.metrics.bump(Counter::Errors);
                     FrameOutcome::Reply(
                         Response::Error {
                             id: String::new(),
@@ -860,8 +840,8 @@ fn handle_connection(mut stream: Stream, shared: &Arc<Shared>) {
             }
         }
         if pending.len() > shared.config.max_line_bytes {
-            ServeMetrics::bump(&shared.metrics.malformed_frames);
-            ServeMetrics::bump(&shared.metrics.errors);
+            shared.metrics.bump(Counter::MalformedFrames);
+            shared.metrics.bump(Counter::Errors);
             let _ = write_line(
                 &mut stream,
                 &Response::Error {
@@ -912,7 +892,7 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
             Ok(mut stream) => {
                 let open = shared.active_connections.fetch_add(1, Ordering::SeqCst) + 1;
                 if open > shared.config.max_connections {
-                    ServeMetrics::bump(&shared.metrics.connections_rejected);
+                    shared.metrics.bump(Counter::ConnectionsRejected);
                     let _ = write_line(
                         &mut stream,
                         &Response::Overloaded {
@@ -924,8 +904,7 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>) {
                     shared.active_connections.fetch_sub(1, Ordering::SeqCst);
                     continue;
                 }
-                ServeMetrics::bump(&shared.metrics.connections);
-                quva_obs::counter("serve.connections", 1);
+                shared.metrics.bump(Counter::Connections);
                 let conn_shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || {
                     handle_connection(stream, &conn_shared);
@@ -990,12 +969,6 @@ impl ServerHandle {
         self.shared.draining()
     }
 
-    /// A point-in-time snapshot of the server metrics as JSON.
-    pub fn metrics_json(&self) -> String {
-        self.shared.sync_telemetry();
-        self.shared.metrics.render_json()
-    }
-
     /// A point-in-time Prometheus-style text exposition — the same
     /// bytes the `metrics` verb returns (modulo timing-valued lines).
     pub fn exposition(&self) -> String {
@@ -1035,8 +1008,7 @@ impl ServerHandle {
             let _ = w.join();
         }
         quva_obs::flush();
-        self.shared.sync_telemetry();
-        self.shared.metrics.render_json()
+        self.shared.stats().render_json()
     }
 }
 

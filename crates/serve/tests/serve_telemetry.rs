@@ -1,7 +1,8 @@
 //! End-to-end telemetry tests for the `quvad` daemon: the `metrics`
 //! exposition (syntax, golden bytes, cross-run determinism), anomaly
 //! flight dumps, the per-job audit journal, streaming progress frames,
-//! the pinned `stats` key order, and the worker-respawn obs flush.
+//! the pinned `stats` key order, the worker-respawn obs flush, and the
+//! agreement of every trace counter with its `stats` twin.
 //!
 //! The flight ring and the `quva-obs` recorder are process-global, so
 //! every test in this binary takes `guard()` to serialize.
@@ -13,7 +14,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
-use quva_serve::{is_timing_line, Server, ServerConfig, ServerHandle, DUMP_SCHEMA};
+use quva_serve::{is_timing_line, Server, ServerConfig, ServerHandle, COUNTERS, DUMP_SCHEMA};
 
 fn guard() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -425,4 +426,62 @@ fn worker_panic_flushes_obs_buffers_before_the_respawn() {
     drop((stream, reader));
     handle.shutdown();
     handle.join();
+}
+
+#[test]
+fn every_trace_twin_equals_its_stats_counter() {
+    let _g = guard();
+    quva_obs::reset();
+    quva_obs::enable();
+    let (handle, addr) = spawn(ServerConfig {
+        chaos_panics: true,
+        max_line_bytes: 1024,
+        ..ServerConfig::default()
+    });
+    let (mut stream, mut reader) = open(&addr);
+    let ok = "\"status\":\"ok\"";
+    assert!(roundtrip(&mut stream, &mut reader, "{\"id\":\"p\",\"kind\":\"ping\"}").contains(ok));
+    let job = "{\"id\":\"a\",\"kind\":\"audit\",\"device\":\"q5\",\"policy\":\"vqm\",\
+               \"benchmark\":\"ghz:3\"}";
+    assert!(roundtrip(&mut stream, &mut reader, job).contains(ok));
+    assert!(roundtrip(&mut stream, &mut reader, job).contains(ok)); // cache hit
+    let malformed = roundtrip(&mut stream, &mut reader, "not json");
+    assert!(malformed.contains("\"status\":\"error\""), "{malformed}");
+    stream.write_all(b"\xff\xfe\n").expect("send frame");
+    let not_utf8 = recv(&mut reader);
+    assert!(not_utf8.contains("not valid UTF-8"), "{not_utf8}");
+    let panicked = roundtrip(&mut stream, &mut reader, "{\"id\":\"boom\",\"kind\":\"panic\"}");
+    assert!(panicked.contains("worker panicked"), "{panicked}");
+    drop((stream, reader));
+    // an oversized frame is answered, then its connection is closed
+    let (mut stream, mut reader) = open(&addr);
+    stream.write_all(&[b'x'; 2048]).expect("send oversized frame");
+    let oversized = recv(&mut reader);
+    assert!(oversized.contains("frame exceeds 1024 bytes"), "{oversized}");
+    drop((stream, reader));
+    handle.shutdown();
+    let stats = handle.join();
+    quva_obs::flush();
+    let report = quva_obs::drain();
+    quva_obs::disable();
+
+    let doc = quva_obs::parse_json(&stats).expect("final stats parse");
+    let stat = |key: &str| {
+        doc.get(key)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("{key}: {stats}")) as u64
+    };
+    // the drive reached the paths whose twins used to be missed
+    assert_eq!(stat("malformed_frames"), 3, "{stats}");
+    assert_eq!(stat("worker_panics"), 1, "{stats}");
+    assert_eq!(stat("cache_hits"), 1, "{stats}");
+    for (key, twin) in COUNTERS {
+        if let Some(twin) = twin {
+            assert_eq!(
+                report.counters.get(*twin).copied().unwrap_or(0),
+                stat(key),
+                "trace counter {twin} drifted from stats field {key}: {stats}"
+            );
+        }
+    }
 }
