@@ -1,12 +1,11 @@
 //! A generic forward-dataflow engine over physical circuits.
 //!
 //! Abstract interpretation of a gate stream: each physical qubit
-//! carries an abstract state (an element of a join-semilattice), every
-//! gate applies a transfer function to its operands' states, and a
-//! worklist iterates to a fixpoint. Straight-line circuits converge in
-//! one ascending pass; the worklist exists so transfer functions may be
-//! composed and re-run safely (each gate's outputs are a pure function
-//! of its inputs, never of its own previous outputs).
+//! carries an abstract state (an element of a join-semilattice), and
+//! every gate applies a transfer function to its operands' states. A
+//! circuit is straight-line code, so one sweep in program order reaches
+//! the fixpoint: each gate reads its operands' current states and
+//! writes its outputs back.
 //!
 //! The ESP interval analysis ([`crate::passes::esp`]) is the flagship
 //! client: its state is a `[lo, hi]` success-probability interval per
@@ -51,8 +50,6 @@
 //! assert_eq!(result.exit[1], Count(1));
 //! ```
 
-use std::collections::BTreeSet;
-
 use quva_circuit::{Circuit, Gate, PhysQubit};
 
 /// An element of a join-semilattice: the abstract state one physical
@@ -81,8 +78,7 @@ pub trait ForwardAnalysis {
     /// operand in [`Gate::qubits`] order; the returned vector gives the
     /// outgoing state of the same operands, in the same order.
     ///
-    /// Must be *pure*: outputs depend only on the gate and `inputs`, so
-    /// the worklist may re-evaluate a gate without double-charging it.
+    /// Must be *pure*: outputs depend only on the gate and `inputs`.
     fn transfer(&self, gate: &Gate<PhysQubit>, index: usize, inputs: &[Self::State]) -> Vec<Self::State>;
 }
 
@@ -103,98 +99,43 @@ pub struct DataflowResult<S> {
 /// `num_qubits` is the width of the state vector — pass the *device*
 /// size when exit states for unused physical qubits matter.
 ///
-/// The engine is a classic worklist: gates are processed in ascending
-/// program order (a topological order of the gate DAG, since operands
-/// chain each qubit's gates), and a gate is re-queued whenever one of
-/// its predecessors changes its output. Transfer functions are pure, so
-/// re-evaluation is idempotent and the fixpoint is reached as soon as
-/// the worklist drains.
+/// One sweep in program order suffices: a gate's operands were last
+/// written by earlier gates, so each gate reads its operands' current
+/// states from one per-qubit vector and writes its outputs back.
 pub fn run_forward<A: ForwardAnalysis>(
     analysis: &A,
     circuit: &Circuit<PhysQubit>,
     num_qubits: usize,
 ) -> DataflowResult<A::State> {
     let width = num_qubits.max(circuit.num_qubits());
-    let gates = circuit.gates();
-
-    // Dependency chains: for each gate and operand, the producing
-    // predecessor gate (and its operand slot), or the boundary.
-    #[derive(Clone, Copy)]
-    enum Source {
-        Boundary(usize),
-        Gate { index: usize, slot: usize },
-    }
-    let mut last_def: Vec<Source> = (0..width).map(Source::Boundary).collect();
-    let mut inputs_of: Vec<Vec<Source>> = Vec::with_capacity(gates.len());
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); gates.len()];
-    for (i, gate) in gates.iter().enumerate() {
-        if gate.is_barrier() {
-            inputs_of.push(Vec::new());
-            continue;
-        }
-        let mut sources = Vec::new();
-        for (slot, q) in gate.qubits().into_iter().enumerate() {
-            let src = last_def[q.index()];
-            if let Source::Gate { index, .. } = src {
-                successors[index].push(i);
+    let mut state: Vec<A::State> = (0..width).map(|q| analysis.boundary(q)).collect();
+    let after_gate = circuit
+        .gates()
+        .iter()
+        .enumerate()
+        .map(|(i, gate)| {
+            if gate.is_barrier() {
+                return None;
             }
-            sources.push(src);
-            last_def[q.index()] = Source::Gate { index: i, slot };
-        }
-        inputs_of.push(sources);
-    }
-
-    let boundary: Vec<A::State> = (0..width).map(|q| analysis.boundary(q)).collect();
-    let mut after_gate: Vec<Option<Vec<A::State>>> = vec![None; gates.len()];
-
-    // Ascending-order worklist: BTreeSet pops the smallest index, so the
-    // first sweep visits gates in program order and every predecessor is
-    // evaluated before its consumers.
-    let mut worklist: BTreeSet<usize> = (0..gates.len()).filter(|&i| !gates[i].is_barrier()).collect();
-    while let Some(&i) = worklist.iter().next() {
-        worklist.remove(&i);
-        let gate = &gates[i];
-        let operands = gate.qubits();
-        let ins: Vec<A::State> = inputs_of[i]
-            .iter()
-            .enumerate()
-            .map(|(slot, src)| match *src {
-                Source::Boundary(q) => boundary[q].clone(),
-                Source::Gate { index, slot: pslot } => match &after_gate[index] {
-                    // ascending order guarantees predecessors evaluate
-                    // first; the fallback covers a (hypothetical)
-                    // re-queue racing ahead of an unevaluated pred
-                    Some(outs) => outs[pslot].clone(),
-                    None => boundary[operands[slot].index()].clone(),
-                },
-            })
-            .collect();
-        let outs = analysis.transfer(gate, i, &ins);
-        debug_assert_eq!(
-            outs.len(),
-            ins.len(),
-            "{}: transfer must produce one state per operand",
-            analysis.name()
-        );
-        if after_gate[i].as_ref() != Some(&outs) {
-            after_gate[i] = Some(outs);
-            for &s in &successors[i] {
-                worklist.insert(s);
+            let operands = gate.qubits();
+            let ins: Vec<A::State> = operands.iter().map(|q| state[q.index()].clone()).collect();
+            let outs = analysis.transfer(gate, i, &ins);
+            debug_assert_eq!(
+                outs.len(),
+                ins.len(),
+                "{}: transfer must produce one state per operand",
+                analysis.name()
+            );
+            for (q, out) in operands.iter().zip(&outs) {
+                state[q.index()] = out.clone();
             }
-        }
+            Some(outs)
+        })
+        .collect();
+    DataflowResult {
+        exit: state,
+        after_gate,
     }
-
-    // Exit state per qubit: the output of its last defining gate.
-    let mut exit = boundary;
-    for (q, src) in last_def.iter().enumerate() {
-        if let Source::Gate { index, slot } = *src {
-            if let Some(outs) = &after_gate[index] {
-                exit[q] = outs[slot].clone();
-            }
-        }
-    }
-
-    DataflowResult { exit, after_gate }
 }
 
 #[cfg(test)]

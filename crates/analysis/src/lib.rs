@@ -15,8 +15,8 @@
 //!   over compiler output) collected in a [`PassRegistry`], plus the
 //!   [`contracts`] checker that validates `quva::pipeline` pass
 //!   pipelines *before they run*.
-//! - **The [`dataflow`] engine** — a generic forward worklist analysis
-//!   over physical circuits (abstract state per qubit, transfer function
+//! - **The [`dataflow`] engine** — a generic single-sweep forward
+//!   analysis over physical circuits (abstract state per qubit, transfer function
 //!   per gate) that powers the reliability-semantic passes: static ESP
 //!   intervals, decoherence exposure, missed-VQM routes, weak-region
 //!   allocations.

@@ -264,10 +264,8 @@ pub fn link_attribution(device: &Device, circuit: &Circuit<PhysQubit>) -> Vec<Li
             Gate::Swap { a, b } => ((*a, *b), 3),
             _ => continue,
         };
-        if let Some(id) = topo.link_id(pair.0, pair.1) {
-            if device.link_enabled(id) {
-                uses[id] += cost;
-            }
+        if let Some(id) = device.active_link_id(pair.0, pair.1) {
+            uses[id] += cost;
         }
     }
     let mut rows: Vec<LinkAttribution> = uses
@@ -283,7 +281,7 @@ pub fn link_attribution(device: &Device, circuit: &Circuit<PhysQubit>) -> Vec<Li
                 b: link.high(),
                 uses: u,
                 error: e,
-                weight: u as f64 * -(1.0 - e).max(f64::MIN_POSITIVE).ln(),
+                weight: u as f64 * device.cnot_weight(id),
             }
         })
         .collect();

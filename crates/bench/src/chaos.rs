@@ -461,7 +461,7 @@ fn apply_link_fault(device: &mut Device, fault: Fault) {
         }
         Fault::IsolateQubit { qubit } => {
             let q = PhysQubit((qubit % device.num_qubits()) as u32);
-            for nb in device.topology().neighbors(q) {
+            for nb in device.topology().neighbors(q).to_vec() {
                 device.disable_link(q, nb);
             }
         }

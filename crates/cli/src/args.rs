@@ -3,16 +3,17 @@
 //! Hand-rolled on purpose: the CLI needs exactly flags-with-values and
 //! positionals, and the workspace keeps its dependency set small.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
 /// Parsed command line: a subcommand, `--flag value` options, boolean
 /// `--flag` switches, and positionals. It also records which options
-/// and switches the command has asked about, so one it never reads —
-/// a typo, or a flag another command takes — is reported instead of
-/// silently ignored (see [`ParsedArgs::reject_unread`]).
+/// and switches the command has asked about, and whether it read the
+/// positionals, so an argument it never reads — a typo, a flag another
+/// command takes, or a stray word — is reported instead of silently
+/// ignored (see [`ParsedArgs::reject_unread`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ParsedArgs {
     command: String,
@@ -20,6 +21,7 @@ pub struct ParsedArgs {
     switches: Vec<String>,
     positionals: Vec<String>,
     read: RefCell<BTreeSet<String>>,
+    positionals_read: Cell<bool>,
 }
 
 /// Error produced for malformed command lines.
@@ -110,12 +112,12 @@ impl ParsedArgs {
         self.read.borrow_mut().insert(name.to_string());
     }
 
-    /// Fails naming every option and switch on the command line that
-    /// the command has not read so far.
+    /// Fails naming every option, switch and positional on the command
+    /// line that the command has not read so far.
     ///
     /// # Errors
     ///
-    /// Fails when any given option or switch is unread.
+    /// Fails when any given option, switch or positional is unread.
     pub fn reject_unread(&self) -> Result<(), ArgsError> {
         let read = self.read.borrow();
         let unread: BTreeSet<&str> = self
@@ -125,10 +127,13 @@ impl ParsedArgs {
             .map(String::as_str)
             .filter(|name| !read.contains(*name))
             .collect();
-        if unread.is_empty() {
+        let mut names: Vec<String> = unread.iter().map(|name| format!("--{name}")).collect();
+        if !self.positionals_read.get() {
+            names.extend(self.positionals.iter().map(|tok| format!("'{tok}'")));
+        }
+        if names.is_empty() {
             return Ok(());
         }
-        let names: Vec<String> = unread.iter().map(|name| format!("--{name}")).collect();
         Err(ArgsError::new(format!(
             "`quva {}` does not use {}",
             self.command,
@@ -136,8 +141,9 @@ impl ParsedArgs {
         )))
     }
 
-    /// The positional arguments.
+    /// The positional arguments. Marks them read.
     pub fn positionals(&self) -> &[String] {
+        self.positionals_read.set(true);
         &self.positionals
     }
 
@@ -199,6 +205,16 @@ mod tests {
         assert_eq!(a.require("policy").unwrap(), "vqm");
         assert!(a.require("device").is_err());
         assert_eq!(a.get_or("device", "q20"), "q20");
+    }
+
+    #[test]
+    fn unread_positionals_are_rejected() {
+        let a = ParsedArgs::parse(&["compile", "--stats", "3", "stray.qasm"], &["stats"]).unwrap();
+        assert!(a.has_switch("stats"));
+        let err = a.reject_unread().unwrap_err().to_string();
+        assert!(err.contains("'3'") && err.contains("'stray.qasm'"), "{err}");
+        assert_eq!(a.positionals(), ["3", "stray.qasm"]);
+        assert!(a.reject_unread().is_ok());
     }
 
     #[test]

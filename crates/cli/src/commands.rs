@@ -26,11 +26,15 @@ use crate::spec::{parse_benchmark, parse_device, parse_policy};
 /// either flag the recorder stays off and the output is byte-identical
 /// to an uninstrumented build.
 ///
+/// A command line with an argument the command did not use writes no
+/// file: the check runs before the `--trace`, `compile --out` and
+/// `characterize --export` writes.
+///
 /// # Errors
 ///
 /// Returns a message for unknown commands, malformed specs, I/O
-/// problems, or compilation failures, and fails naming every option or
-/// switch the command did not use.
+/// problems, or compilation failures, and fails naming every option,
+/// switch or positional the command did not use.
 pub fn run(args: &ParsedArgs) -> Result<String, ArgsError> {
     let out = run_observed(args)?;
     args.reject_unread()?;
@@ -41,12 +45,17 @@ pub fn run(args: &ParsedArgs) -> Result<String, ArgsError> {
 /// wrapped in the `quva-obs` recorder when `--trace` or `--metrics`
 /// asks for it.
 fn run_observed(args: &ParsedArgs) -> Result<String, ArgsError> {
-    let profiling = args.command() == "profile";
     // `trace-verify` reads a --trace file; never re-enter the recorder
     // for it (the wrapper would overwrite its input).
-    let observed = (args.get("trace").is_some() || args.has_switch("metrics") || profiling)
-        && args.command() != "trace-verify";
-    if !observed {
+    if args.command() == "trace-verify" {
+        return dispatch(args);
+    }
+    let profiling = args.command() == "profile";
+    // read both flags before the unused-argument check below, whichever
+    // of them is given
+    let trace = args.get("trace");
+    let metrics = args.has_switch("metrics");
+    if trace.is_none() && !metrics && !profiling {
         return dispatch(args);
     }
     quva_obs::reset();
@@ -54,14 +63,17 @@ fn run_observed(args: &ParsedArgs) -> Result<String, ArgsError> {
     let result = dispatch(args);
     let report = quva_obs::drain();
     quva_obs::disable();
-    if let Some(path) = args.get("trace") {
+    if result.is_ok() {
+        args.reject_unread()?;
+    }
+    if let Some(path) = trace {
         std::fs::write(path, report.to_chrome_json())
             .map_err(|e| ArgsError::new(format!("cannot write {path}: {e}")))?;
     }
     let mut out = result?;
     if profiling {
         out.push_str(&report.render_text());
-    } else if args.has_switch("metrics") {
+    } else if metrics {
         out.push_str(&report.render_metrics_text());
     }
     Ok(out)
@@ -405,6 +417,7 @@ fn cmd_compile(args: &ParsedArgs) -> Result<String, ArgsError> {
     }
     out.push_str(&qasm::to_qasm(compiled.physical()));
     if let Some(path) = args.get("out") {
+        args.reject_unread()?;
         std::fs::write(path, &out).map_err(|e| ArgsError::new(format!("cannot write {path}: {e}")))?;
         return Ok(format!("wrote routed program to {path}\n"));
     }
@@ -1053,6 +1066,7 @@ fn cmd_trials(args: &ParsedArgs) -> Result<String, ArgsError> {
 fn cmd_characterize(args: &ParsedArgs) -> Result<String, ArgsError> {
     let device = load_device(args, "q20")?;
     if let Some(path) = args.get("export") {
+        args.reject_unread()?;
         let json = snapshot::to_json(device.calibration());
         std::fs::write(path, json).map_err(|e| ArgsError::new(format!("cannot write {path}: {e}")))?;
         return Ok(format!("wrote calibration snapshot to {path}\n"));

@@ -22,7 +22,9 @@ use crate::args::ArgsError;
 ///
 /// # Errors
 ///
-/// Fails on unknown names or malformed dimensions.
+/// Fails on unknown names, malformed dimensions, and the layouts
+/// [`quva_serve::parse_device`] refuses (too small, or over its qubit
+/// or link cap).
 pub fn parse_device(spec: &str) -> Result<Device, ArgsError> {
     quva_serve::parse_device(spec).map_err(|e| ArgsError::new(e.to_string()))
 }

@@ -391,10 +391,8 @@ impl CompiledCircuit {
             }
             | Gate::Swap { a, b } = gate
             {
-                if let Some(id) = topo.link_id(*a, *b) {
-                    if device.link_enabled(id) {
-                        use_count[id] += gate.cnot_cost();
-                    }
+                if let Some(id) = device.active_link_id(*a, *b) {
+                    use_count[id] += gate.cnot_cost();
                 }
             }
         }
@@ -685,7 +683,7 @@ fn bring_together(
         // location (SWAPs across dead links are impossible)
         let mut best: Option<(f64, (PhysQubit, PhysQubit))> = None;
         for &active in &[pa, pb] {
-            for nb in device.active_neighbors(active) {
+            for (nb, id) in device.active_neighbor_links(active) {
                 let cand = (active, nb);
                 candidates += 1;
                 if last_swap == Some((cand.1, cand.0)) || last_swap == Some(cand) {
@@ -708,10 +706,9 @@ fn bring_together(
                 let swap_cost = match metric {
                     RoutingMetric::Hops => 1.0,
                     RoutingMetric::Reliability { .. } => {
-                        // active neighbors always carry a weight; a link
-                        // with an unusable weight is never swapped over
-                        match device.swap_failure_weight(cand.0, cand.1) {
-                            Some(w) if w.is_finite() => w,
+                        // a link with an unusable weight is never swapped over
+                        match device.swap_weight(id) {
+                            w if w.is_finite() => w,
                             _ => continue,
                         }
                     }

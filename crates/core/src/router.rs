@@ -273,19 +273,15 @@ impl<'d> Router<'d> {
         let mut path = vec![a];
         let mut cur = a;
         while cur != b {
-            let descending: Vec<PhysQubit> = self
-                .device
-                .active_neighbors(cur)
-                .into_iter()
-                .filter(|&n| self.hops.get(n, b) == self.hops.get(cur, b) - 1)
-                .collect();
-            if descending.is_empty() {
+            let closer = |n: &PhysQubit| self.hops.get(*n, b) == self.hops.get(cur, b) - 1;
+            let descending = self.device.active_neighbors(cur).filter(closer).count();
+            if descending == 0 {
                 // unreachable in practice: a finite active hop distance
                 // implies a descending active neighbor
                 return None;
             }
-            let pick = fnv_mix(&[a.0, b.0, cur.0]) as usize % descending.len();
-            let next = descending[pick];
+            let pick = fnv_mix(&[a.0, b.0, cur.0]) as usize % descending;
+            let next = self.device.active_neighbors(cur).filter(closer).nth(pick)?;
             path.push(next);
             cur = next;
         }
@@ -361,12 +357,9 @@ impl<'d> Router<'d> {
             if hops == cap {
                 continue;
             }
-            for nb in self.device.active_neighbors(PhysQubit(node as u32)) {
-                // active neighbors always carry a weight; a link whose
-                // weight is missing or unusable is simply not traversed
-                let Some(w) = self.device.swap_failure_weight(PhysQubit(node as u32), nb) else {
-                    continue;
-                };
+            for (nb, id) in self.device.active_neighbor_links(PhysQubit(node as u32)) {
+                // a link whose weight is unusable is simply not traversed
+                let w = self.device.swap_weight(id);
                 if !w.is_finite() {
                     continue;
                 }

@@ -38,6 +38,10 @@ use crate::topology::Topology;
 /// assert!(!dead.has_active_link(PhysQubit(0), PhysQubit(1)));
 /// ```
 ///
+/// Every link query searches one short neighbour row of the topology
+/// and reads each link's CNOT and SWAP failure weights, computed once
+/// with the device, so it neither hashes nor allocates.
+///
 /// The distance tables and strongest regions the policies read
 /// ([`Device::hop_matrix`], [`Device::swap_distances`],
 /// [`Device::strongest_region`], ...) depend only on the device, so
@@ -49,6 +53,10 @@ pub struct Device {
     calibration: Calibration,
     /// `disabled[id]` marks links the policies must not use.
     disabled: Vec<bool>,
+    /// `cnot_weights[id]`: the failure weight `−ln(1 − e2q)` of one CNOT.
+    cnot_weights: Vec<f64>,
+    /// `swap_weights[id]`: the failure weight `−ln((1 − e2q)³)` of one SWAP.
+    swap_weights: Vec<f64>,
     tables: Tables,
 }
 
@@ -79,13 +87,21 @@ impl Device {
         Device::assemble(topology, calibration)
     }
 
-    /// A device with every link enabled and no table built yet.
+    /// A device with every link enabled, its per-link weights derived
+    /// and no table built yet.
     fn assemble(topology: Topology, calibration: Calibration) -> Self {
         let disabled = vec![false; topology.num_links()];
+        let successes = || (0..topology.num_links()).map(|id| 1.0 - calibration.two_qubit_error(id));
+        let cnot_weights = successes().map(|s| -s.max(f64::MIN_POSITIVE).ln()).collect();
+        let swap_weights = successes()
+            .map(|s| -s.powi(3).max(f64::MIN_POSITIVE).ln())
+            .collect();
         Device {
             topology,
             calibration,
             disabled,
+            cnot_weights,
+            swap_weights,
             tables: Tables::default(),
         }
     }
@@ -172,16 +188,35 @@ impl Device {
 
     /// Whether `a` and `b` are coupled by a *usable* link.
     pub fn has_active_link(&self, a: PhysQubit, b: PhysQubit) -> bool {
-        self.topology.link_id(a, b).is_some_and(|id| !self.disabled[id])
+        self.active_link_id(a, b).is_some()
+    }
+
+    /// The id of the usable link between `a` and `b`; `None` when the
+    /// pair is not coupled, the link is disabled, `a == b`, or either
+    /// qubit is outside the device.
+    pub fn active_link_id(&self, a: PhysQubit, b: PhysQubit) -> Option<usize> {
+        self.topology.link_id(a, b).filter(|&id| !self.disabled[id])
     }
 
     /// The neighbors of `q` over usable links only, ascending.
-    pub fn active_neighbors(&self, q: PhysQubit) -> Vec<PhysQubit> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn active_neighbors(&self, q: PhysQubit) -> impl Iterator<Item = PhysQubit> + '_ {
+        self.active_neighbor_links(q).map(|(nb, _)| nb)
+    }
+
+    /// The neighbors of `q` over usable links only, ascending, each with
+    /// the id of the link to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn active_neighbor_links(&self, q: PhysQubit) -> impl Iterator<Item = (PhysQubit, usize)> + '_ {
         self.topology
-            .neighbors(q)
-            .into_iter()
-            .filter(|&nb| self.has_active_link(q, nb))
-            .collect()
+            .neighbor_links(q)
+            .filter(move |&(_, id)| !self.disabled[id])
     }
 
     /// The coupling topology.
@@ -253,9 +288,7 @@ impl Device {
     /// CNOT error rate across a link, `None` when the qubits are not
     /// coupled or the link is disabled.
     pub fn link_error(&self, a: PhysQubit, b: PhysQubit) -> Option<f64> {
-        self.topology
-            .link_id(a, b)
-            .filter(|&id| !self.disabled[id])
+        self.active_link_id(a, b)
             .map(|id| self.calibration.two_qubit_error(id))
     }
 
@@ -273,12 +306,32 @@ impl Device {
     /// The failure weight `−ln(p)` of one CNOT on a link, the additive
     /// cost VQM minimizes. `None` when uncoupled.
     pub fn cnot_failure_weight(&self, a: PhysQubit, b: PhysQubit) -> Option<f64> {
-        self.cnot_success(a, b).map(|s| -s.max(f64::MIN_POSITIVE).ln())
+        self.active_link_id(a, b).map(|id| self.cnot_weights[id])
     }
 
     /// The failure weight `−ln(p³)` of one SWAP on a link.
     pub fn swap_failure_weight(&self, a: PhysQubit, b: PhysQubit) -> Option<f64> {
-        self.swap_success(a, b).map(|s| -s.max(f64::MIN_POSITIVE).ln())
+        self.active_link_id(a, b).map(|id| self.swap_weights[id])
+    }
+
+    /// The CNOT failure weight of link `id`, whether or not the link is
+    /// disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a valid link id.
+    pub fn cnot_weight(&self, id: usize) -> f64 {
+        self.cnot_weights[id]
+    }
+
+    /// The SWAP failure weight of link `id`, whether or not the link is
+    /// disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a valid link id.
+    pub fn swap_weight(&self, id: usize) -> f64 {
+        self.swap_weights[id]
     }
 
     /// The sub-device induced by a region of physical qubits: the
@@ -360,25 +413,17 @@ impl Device {
     /// `−ln((1 − e2q)³)` of [`Device::swap_failure_weight`] — the VQM
     /// routing metric — built on first use.
     pub fn swap_distances(&self) -> &ReliabilityMatrix {
-        self.tables.swap.get_or_init(|| {
-            ReliabilityMatrix::of_active(self, |id| {
-                let link = self.topology.links()[id];
-                // enabled links always carry a weight
-                self.swap_failure_weight(link.low(), link.high()).unwrap_or(0.0)
-            })
-        })
+        self.tables
+            .swap
+            .get_or_init(|| ReliabilityMatrix::of_active(self, |id| self.swap_weights[id]))
     }
 
     /// Reliability distances under the CNOT failure weight
     /// `−ln(1 − e2q)` — VQA's placement metric — built on first use.
     pub fn cnot_distances(&self) -> &ReliabilityMatrix {
-        self.tables.cnot.get_or_init(|| {
-            ReliabilityMatrix::of_active(self, |id| {
-                -(1.0 - self.calibration.two_qubit_error(id))
-                    .max(f64::MIN_POSITIVE)
-                    .ln()
-            })
-        })
+        self.tables
+            .cnot
+            .get_or_init(|| ReliabilityMatrix::of_active(self, |id| self.cnot_weights[id]))
     }
 
     /// Reliability distances with every active link weighing 1 — hop
@@ -472,6 +517,71 @@ mod tests {
         assert_eq!(dead.disabled_link_count(), 2);
         for dev in [Device::ibm_q20(), Device::ibm_q5(), grid, dead] {
             assert_tables_match_fresh_builds(&dev);
+        }
+    }
+
+    /// The id of the `a`–`b` link found by scanning `links()`.
+    fn scanned_link_id(dev: &Device, a: PhysQubit, b: PhysQubit) -> Option<usize> {
+        let pair = (a.min(b), a.max(b));
+        dev.topology()
+            .links()
+            .iter()
+            .position(|l| a != b && l.endpoints() == pair)
+    }
+
+    #[test]
+    fn link_queries_equal_a_scan_of_the_link_list() {
+        let synthetic = |topology: Topology, seed: u64| {
+            Device::new(topology, |t| {
+                CalibrationGenerator::new(VariationProfile::ibm_q20_paper(), seed).snapshot(t)
+            })
+        };
+        let degraded = q20_with_two_dead_links();
+        let next_snapshot =
+            CalibrationGenerator::new(VariationProfile::ibm_q20_paper(), 9).snapshot(degraded.topology());
+        let recalibrated = degraded.with_calibration(next_snapshot).unwrap();
+        let devices = [
+            Device::ibm_q20(),
+            Device::ibm_q5(),
+            synthetic(Topology::grid(4, 4), 3),
+            synthetic(Topology::heavy_hex(4, 5), 4),
+            synthetic(Topology::fully_connected(5), 5),
+            degraded,
+            recalibrated,
+        ];
+        let bits = |w: Option<f64>| w.map(f64::to_bits);
+        for dev in &devices {
+            let n = dev.num_qubits();
+            let topo = dev.topology();
+            for a in (0..n + 2).map(|i| PhysQubit(i as u32)) {
+                for b in (0..n + 2).map(|i| PhysQubit(i as u32)) {
+                    let id = scanned_link_id(dev, a, b);
+                    let active = id.filter(|&id| dev.link_enabled(id));
+                    let error = active.map(|id| dev.calibration().two_qubit_error(id));
+                    let cnot = error.map(|e| -(1.0 - e).max(f64::MIN_POSITIVE).ln());
+                    let swap = error.map(|e| -(1.0 - e).powi(3).max(f64::MIN_POSITIVE).ln());
+                    let at = format!("{dev}: {a}-{b}");
+                    assert_eq!(topo.link_id(a, b), id, "{at}");
+                    assert_eq!(topo.has_link(a, b), id.is_some(), "{at}");
+                    assert_eq!(dev.has_active_link(a, b), active.is_some(), "{at}");
+                    assert_eq!(bits(dev.link_error(a, b)), bits(error), "{at}");
+                    assert_eq!(bits(dev.cnot_failure_weight(a, b)), bits(cnot), "{at}");
+                    assert_eq!(bits(dev.swap_failure_weight(a, b)), bits(swap), "{at}");
+                }
+            }
+            for q in topo.qubits() {
+                let coupled: Vec<PhysQubit> = topo
+                    .qubits()
+                    .filter(|&p| scanned_link_id(dev, q, p).is_some())
+                    .collect();
+                let usable: Vec<PhysQubit> = coupled
+                    .iter()
+                    .copied()
+                    .filter(|&p| scanned_link_id(dev, q, p).is_some_and(|id| dev.link_enabled(id)))
+                    .collect();
+                assert_eq!(topo.neighbors(q), coupled, "{dev}: {q}");
+                assert_eq!(dev.active_neighbors(q).collect::<Vec<_>>(), usable, "{dev}: {q}");
+            }
         }
     }
 
@@ -589,7 +699,10 @@ mod tests {
         assert_eq!(dev.cnot_success(PhysQubit(0), PhysQubit(1)), None);
         assert_eq!(dev.swap_failure_weight(PhysQubit(0), PhysQubit(1)), None);
         assert!(!dev.has_active_link(PhysQubit(0), PhysQubit(1)));
-        assert_eq!(dev.active_neighbors(PhysQubit(1)), vec![PhysQubit(2)]);
+        assert_eq!(
+            dev.active_neighbors(PhysQubit(1)).collect::<Vec<_>>(),
+            vec![PhysQubit(2)]
+        );
         // the live link is untouched
         assert_eq!(dev.link_error(PhysQubit(1), PhysQubit(2)), Some(0.1));
         // the topology itself still records the physical coupler

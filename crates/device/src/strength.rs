@@ -146,9 +146,7 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
         return Vec::new();
     }
     let strengths = node_strengths(device);
-    // only active links can connect a region — growth over a dead
-    // coupler would produce an unroutable allocation
-    let adjacency = active_adjacency(device);
+    let cal = device.calibration();
 
     let mut found: Vec<(f64, Vec<usize>, Vec<bool>)> = Vec::new();
     for seed in 0..n {
@@ -159,16 +157,21 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
         in_set[seed] = true;
         while members.len() < k {
             let mut candidate: Option<(f64, usize)> = None;
+            // only active links can connect a region — growth over a
+            // dead coupler would produce an unroutable allocation; rows
+            // ascend by neighbour, which fixes the tie-breaks and the
+            // order each gain is summed in
             for &m in &members {
-                for &(v, _) in &adjacency[m] {
+                for v in device.active_neighbors(PhysQubit(m as u32)) {
+                    let v = v.index();
                     if in_set[v] {
                         continue;
                     }
                     // gain = success mass of links from v into the set
-                    let gain: f64 = adjacency[v]
-                        .iter()
-                        .filter(|&&(u, _)| in_set[u])
-                        .map(|&(_, success)| success)
+                    let gain: f64 = device
+                        .active_neighbor_links(PhysQubit(v as u32))
+                        .filter(|&(u, _)| in_set[u.index()])
+                        .map(|(_, id)| 1.0 - cal.two_qubit_error(id))
                         .sum::<f64>()
                         + 1e-3 * strengths[v]; // tie-break by global strength
                     match candidate {
@@ -199,26 +202,6 @@ pub fn candidate_regions(device: &Device, k: usize) -> Vec<Vec<PhysQubit>> {
         .into_iter()
         .map(|(_, members, _)| members.into_iter().map(|v| PhysQubit(v as u32)).collect())
         .collect()
-}
-
-/// Each qubit's active neighbours with the link's success `1 − e2q`,
-/// ascending by neighbour like [`Device::active_neighbors`]: the greedy's
-/// tie-breaks and the order its gains are summed in follow this order.
-fn active_adjacency(device: &Device) -> Vec<Vec<(usize, f64)>> {
-    let topo = device.topology();
-    let mut adjacency = vec![Vec::new(); topo.num_qubits()];
-    for (id, link) in topo.links().iter().enumerate() {
-        if device.link_enabled(id) {
-            let success = 1.0 - device.calibration().two_qubit_error(id);
-            let (a, b) = (link.low().index(), link.high().index());
-            adjacency[a].push((b, success));
-            adjacency[b].push((a, success));
-        }
-    }
-    for row in &mut adjacency {
-        row.sort_unstable_by_key(|&(v, _)| v);
-    }
-    adjacency
 }
 
 /// Total link success mass internal to `region`: Σ over active links
@@ -342,7 +325,7 @@ mod tests {
             seen[sg[0].index()] = true;
             let mut count = 1;
             while let Some(v) = stack.pop() {
-                for u in topo.neighbors(v) {
+                for &u in topo.neighbors(v) {
                     if in_set[u.index()] && !seen[u.index()] {
                         seen[u.index()] = true;
                         count += 1;

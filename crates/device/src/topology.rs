@@ -4,10 +4,9 @@
 //! whose edges are coupling links: a two-qubit gate can only be applied
 //! across an edge (paper §2.4).
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
-use petgraph::graph::{NodeIndex, UnGraph};
 use quva_circuit::PhysQubit;
 
 /// An undirected coupling link between two physical qubits, stored with
@@ -97,9 +96,77 @@ impl fmt::Display for Link {
 #[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
-    graph: UnGraph<PhysQubit, ()>,
     links: Vec<Link>,
-    link_index: HashMap<Link, usize>,
+    adjacency: Adjacency,
+}
+
+/// A compressed-sparse-row adjacency: row `q` lists `q`'s neighbours in
+/// ascending order, next to the id of the link to each.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    /// Row `q` spans `offsets[q]..offsets[q + 1]`.
+    offsets: Vec<usize>,
+    neighbors: Vec<PhysQubit>,
+    link_ids: Vec<usize>,
+}
+
+impl Adjacency {
+    /// The adjacency of `num_qubits` qubits over `links`.
+    fn of_links(num_qubits: usize, links: &[Link]) -> Self {
+        let mut offsets = vec![0; num_qubits + 1];
+        for link in links {
+            offsets[link.low().index() + 1] += 1;
+            offsets[link.high().index() + 1] += 1;
+        }
+        for q in 0..num_qubits {
+            offsets[q + 1] += offsets[q];
+        }
+        let mut entries = vec![(PhysQubit(0), 0); offsets[num_qubits]];
+        let mut fill = offsets.clone();
+        for (id, link) in links.iter().enumerate() {
+            for (from, to) in [(link.low(), link.high()), (link.high(), link.low())] {
+                entries[fill[from.index()]] = (to, id);
+                fill[from.index()] += 1;
+            }
+        }
+        for q in 0..num_qubits {
+            entries[offsets[q]..offsets[q + 1]].sort_unstable();
+        }
+        Adjacency {
+            offsets,
+            neighbors: entries.iter().map(|&(q, _)| q).collect(),
+            link_ids: entries.iter().map(|&(_, id)| id).collect(),
+        }
+    }
+
+    fn num_rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// `q`'s neighbours, ascending.
+    fn row(&self, q: PhysQubit) -> &[PhysQubit] {
+        &self.neighbors[self.offsets[q.index()]..self.offsets[q.index() + 1]]
+    }
+
+    /// `q`'s neighbours, ascending, each with the id of the link to it.
+    fn row_links(&self, q: PhysQubit) -> impl Iterator<Item = (PhysQubit, usize)> + '_ {
+        let span = self.offsets[q.index()]..self.offsets[q.index() + 1];
+        self.neighbors[span.clone()]
+            .iter()
+            .copied()
+            .zip(self.link_ids[span].iter().copied())
+    }
+
+    /// The id of the `a`–`b` link, found in `a`'s row; `None` when
+    /// `a == b`, either qubit is out of range, or the row lacks `b`.
+    fn link_id(&self, a: PhysQubit, b: PhysQubit) -> Option<usize> {
+        if a == b || a.index() >= self.num_rows() || b.index() >= self.num_rows() {
+            return None;
+        }
+        let start = self.offsets[a.index()];
+        let row = self.row(a);
+        row.binary_search(&b).ok().map(|at| self.link_ids[start + at])
+    }
 }
 
 impl Topology {
@@ -116,30 +183,23 @@ impl Topology {
         num_qubits: usize,
         link_pairs: impl IntoIterator<Item = (u32, u32)>,
     ) -> Self {
-        let mut graph = UnGraph::new_undirected();
-        let nodes: Vec<NodeIndex> = (0..num_qubits)
-            .map(|i| graph.add_node(PhysQubit(i as u32)))
-            .collect();
-        let mut links = Vec::new();
-        let mut link_index = HashMap::new();
+        let mut links: Vec<Link> = Vec::new();
+        let mut seen = BTreeSet::new();
         for (a, b) in link_pairs {
             assert!(
                 (a as usize) < num_qubits && (b as usize) < num_qubits,
                 "link ({a},{b}) out of range"
             );
             let link = Link::new(PhysQubit(a), PhysQubit(b));
-            if link_index.contains_key(&link) {
-                continue;
+            if seen.insert(link) {
+                links.push(link);
             }
-            link_index.insert(link, links.len());
-            links.push(link);
-            graph.add_edge(nodes[a as usize], nodes[b as usize], ());
         }
+        let adjacency = Adjacency::of_links(num_qubits, &links);
         Topology {
             name: name.into(),
-            graph,
             links,
-            link_index,
+            adjacency,
         }
     }
 
@@ -150,7 +210,7 @@ impl Topology {
 
     /// Number of physical qubits.
     pub fn num_qubits(&self) -> usize {
-        self.graph.node_count()
+        self.adjacency.num_rows()
     }
 
     /// Number of undirected coupling links.
@@ -164,12 +224,11 @@ impl Topology {
         &self.links
     }
 
-    /// The id of a link (its index into [`Topology::links`]), if present.
+    /// The id of a link (its index into [`Topology::links`]), if present:
+    /// a search of `a`'s neighbour row. `None` for `a == b` and for
+    /// qubits outside the device.
     pub fn link_id(&self, a: PhysQubit, b: PhysQubit) -> Option<usize> {
-        if a == b {
-            return None;
-        }
-        self.link_index.get(&Link::new(a, b)).copied()
+        self.adjacency.link_id(a, b)
     }
 
     /// Whether qubits `a` and `b` are directly coupled.
@@ -182,20 +241,25 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `q` is out of range.
-    pub fn neighbors(&self, q: PhysQubit) -> Vec<PhysQubit> {
+    pub fn neighbors(&self, q: PhysQubit) -> &[PhysQubit] {
         assert!(q.index() < self.num_qubits(), "{q} out of range");
-        let mut out: Vec<PhysQubit> = self
-            .graph
-            .neighbors(NodeIndex::new(q.index()))
-            .map(|n| self.graph[n])
-            .collect();
-        out.sort_unstable();
-        out
+        self.adjacency.row(q)
+    }
+
+    /// The neighbors of `q` in ascending order, each with the id of the
+    /// link to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn neighbor_links(&self, q: PhysQubit) -> impl Iterator<Item = (PhysQubit, usize)> + '_ {
+        assert!(q.index() < self.num_qubits(), "{q} out of range");
+        self.adjacency.row_links(q)
     }
 
     /// The coupling degree of `q`.
     pub fn degree(&self, q: PhysQubit) -> usize {
-        self.graph.neighbors(NodeIndex::new(q.index())).count()
+        self.neighbors(q).len()
     }
 
     /// Whether every qubit can reach every other via coupling links.
@@ -204,16 +268,15 @@ impl Topology {
             return true;
         }
         let mut seen = vec![false; self.num_qubits()];
-        let mut stack = vec![0usize];
+        let mut stack = vec![PhysQubit(0)];
         seen[0] = true;
         let mut count = 1;
         while let Some(v) = stack.pop() {
-            for n in self.graph.neighbors(NodeIndex::new(v)) {
-                let i = n.index();
-                if !seen[i] {
-                    seen[i] = true;
+            for &n in self.neighbors(v) {
+                if !seen[n.index()] {
+                    seen[n.index()] = true;
                     count += 1;
-                    stack.push(i);
+                    stack.push(n);
                 }
             }
         }
@@ -223,12 +286,6 @@ impl Topology {
     /// Iterates over all physical qubits.
     pub fn qubits(&self) -> impl Iterator<Item = PhysQubit> + '_ {
         (0..self.num_qubits()).map(|i| PhysQubit(i as u32))
-    }
-
-    /// Access to the underlying petgraph graph (read-only), for callers
-    /// that need custom traversals.
-    pub fn graph(&self) -> &UnGraph<PhysQubit, ()> {
-        &self.graph
     }
 }
 

@@ -30,6 +30,19 @@ impl fmt::Display for SpecError {
 
 impl Error for SpecError {}
 
+/// The most qubits a device spec may ask for. Every device-derived
+/// table is n×n (the hop matrix alone holds n² entries), so a spec is
+/// measured against this cap before its topology is built. The largest
+/// layout the workloads use has 30 qubits.
+const MAX_SPEC_QUBITS: usize = 1024;
+
+/// The most links a device spec may ask for. Each table build walks
+/// every link once per source qubit, so links bound its time as qubits
+/// bound its size: `full:1024` (523 776 links) takes seconds to cost
+/// and longer to compile. Every layout but `full:N` has fewer than two
+/// links per qubit, so only `full:N` with N > 64 reaches this cap.
+const MAX_SPEC_LINKS: usize = 2 * MAX_SPEC_QUBITS;
+
 /// Builds a device from a spec string.
 ///
 /// Supported specs:
@@ -42,7 +55,9 @@ impl Error for SpecError {}
 ///
 /// # Errors
 ///
-/// Fails on unknown names or malformed dimensions.
+/// Fails on unknown names, malformed dimensions, a layout below its
+/// minimum (`ring:N` needs N ≥ 3, `heavyhex:RxC` needs R ≥ 2 and
+/// C ≥ 3), more than 1024 qubits, or more than 2048 links.
 pub fn parse_device(spec: &str) -> Result<Device, SpecError> {
     match spec {
         "q20" | "ibm-q20" => return Ok(Device::ibm_q20()),
@@ -70,20 +85,52 @@ pub fn parse_device(spec: &str) -> Result<Device, SpecError> {
         ))
     })?;
     let topology = match kind {
-        "linear" => Topology::linear(parse_dim(spec, dims)?),
-        "ring" => Topology::ring(parse_dim(spec, dims)?),
-        "full" => Topology::fully_connected(parse_dim(spec, dims)?),
+        "linear" => {
+            let n = parse_dim(spec, dims)?;
+            check_size(spec, n)?;
+            Topology::linear(n)
+        }
+        "ring" => {
+            let n = parse_dim(spec, dims)?;
+            if n < 3 {
+                return Err(SpecError::new(format!(
+                    "a ring needs at least 3 qubits, got '{spec}'"
+                )));
+            }
+            check_size(spec, n)?;
+            Topology::ring(n)
+        }
+        "full" => {
+            let n = parse_dim(spec, dims)?;
+            check_size(spec, n)?;
+            let links = n * (n - 1) / 2;
+            if links > MAX_SPEC_LINKS {
+                return Err(SpecError::new(format!(
+                    "device '{spec}' has {links} links; at most {MAX_SPEC_LINKS} are supported"
+                )));
+            }
+            Topology::fully_connected(n)
+        }
         "grid" => {
             let (r, c) = dims
                 .split_once('x')
                 .ok_or_else(|| SpecError::new(format!("grid spec needs RxC, got '{spec}'")))?;
-            Topology::grid(parse_dim(spec, r)?, parse_dim(spec, c)?)
+            let (r, c) = (parse_dim(spec, r)?, parse_dim(spec, c)?);
+            check_size(spec, r.saturating_mul(c))?;
+            Topology::grid(r, c)
         }
         "heavyhex" => {
             let (r, c) = dims
                 .split_once('x')
                 .ok_or_else(|| SpecError::new(format!("heavyhex spec needs RxC, got '{spec}'")))?;
-            Topology::heavy_hex(parse_dim(spec, r)?, parse_dim(spec, c)?)
+            let (r, c) = (parse_dim(spec, r)?, parse_dim(spec, c)?);
+            if r < 2 || c < 3 {
+                return Err(SpecError::new(format!(
+                    "heavy-hex needs at least a 2x3 cell, got '{spec}'"
+                )));
+            }
+            check_size(spec, r.saturating_mul(c))?;
+            Topology::heavy_hex(r, c)
         }
         _ => {
             return Err(SpecError::new(format!(
@@ -100,10 +147,20 @@ fn parse_dim(spec: &str, text: &str) -> Result<usize, SpecError> {
     let d: usize = text
         .parse()
         .map_err(|_| SpecError::new(format!("bad dimension '{text}' in device spec '{spec}'")))?;
-    if d == 0 || d > 1000 {
-        return Err(SpecError::new(format!("dimension {d} out of range in '{spec}'")));
+    if d == 0 {
+        return Err(SpecError::new(format!("dimension 0 out of range in '{spec}'")));
     }
     Ok(d)
+}
+
+/// Refuses a layout of more than [`MAX_SPEC_QUBITS`] qubits.
+fn check_size(spec: &str, qubits: usize) -> Result<(), SpecError> {
+    if qubits > MAX_SPEC_QUBITS {
+        return Err(SpecError::new(format!(
+            "device '{spec}' has {qubits} qubits; at most {MAX_SPEC_QUBITS} are supported"
+        )));
+    }
+    Ok(())
 }
 
 /// Builds a mapping policy from a spec string: `baseline`, `vqm`,
@@ -230,6 +287,40 @@ mod tests {
         assert!(parse_policy("vqm-mah:x").is_err());
         assert!(parse_benchmark("shor:2048").is_err());
         assert!(parse_benchmark("bv").is_err());
+    }
+
+    #[test]
+    fn device_size_is_capped_before_building() {
+        assert_eq!(parse_device("linear:1024").unwrap().num_qubits(), 1024);
+        assert_eq!(parse_device("grid:32x32").unwrap().num_qubits(), 1024);
+        for spec in [
+            "linear:1025",
+            "full:1025",
+            "grid:25x41",
+            "heavyhex:41x25",
+            "grid:1000x1000",
+            "grid:18446744073709551615x2",
+        ] {
+            let err = parse_device(spec).unwrap_err().to_string();
+            assert!(err.contains("at most 1024"), "{spec}: {err}");
+        }
+        assert_eq!(parse_device("full:64").unwrap().topology().num_links(), 2016);
+        for (spec, links) in [("full:65", 2080), ("full:1024", 523_776)] {
+            let err = parse_device(spec).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("{links} links; at most 2048")),
+                "{spec}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn layouts_below_their_minimum_are_refused() {
+        assert!(parse_device("ring:3").is_ok());
+        assert!(parse_device("heavyhex:2x3").is_ok());
+        for spec in ["ring:1", "ring:2", "heavyhex:1x3", "heavyhex:2x2"] {
+            assert!(parse_device(spec).is_err(), "{spec}");
+        }
     }
 
     #[test]
