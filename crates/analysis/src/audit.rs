@@ -55,7 +55,11 @@ pub fn audit_compiled(source: &Circuit, device: &Device, compiled: &CompiledCirc
     audit_with(source, device, compiled, &EspConfig::default())
 }
 
-/// Audits a compiled circuit under an explicit drift configuration.
+/// Audits a compiled circuit under an explicit drift configuration:
+/// the ESP interval, the per-qubit rows and the low-ESP finding
+/// ([`QV302`]) all use `config`'s drift.
+///
+/// [`QV302`]: crate::LintCode::LowEspBound
 pub fn audit_with(
     source: &Circuit,
     device: &Device,
@@ -79,7 +83,7 @@ pub fn audit_with(
         .collect();
     qubits.sort_by(|a, b| a.esp.point.total_cmp(&b.esp.point).then(a.qubit.cmp(&b.qubit)));
 
-    let findings = PassRegistry::standard().verify(source, device, compiled);
+    let findings = PassRegistry::with_esp_config(*config).verify(source, device, compiled);
 
     AuditReport {
         esp,

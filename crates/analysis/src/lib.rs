@@ -12,14 +12,13 @@
 //!   `QV001`–`QV504`, gate-index [`Span`]s) aggregated into a [`Report`]
 //!   renderable as text or JSON.
 //! - **Passes** ([`CircuitPass`] over logical circuits, [`CompiledPass`]
-//!   over compiler output) collected in a [`PassRegistry`], plus the
+//!   over compiler output) in the fixed [`PassRegistry`], plus the
 //!   [`contracts`] checker that validates `quva::pipeline` pass
 //!   pipelines *before they run*.
-//! - **The [`dataflow`] engine** — a generic single-sweep forward
-//!   analysis over physical circuits (abstract state per qubit, transfer function
-//!   per gate) that powers the reliability-semantic passes: static ESP
-//!   intervals, decoherence exposure, missed-VQM routes, weak-region
-//!   allocations.
+//! - **Reliability analyses** over physical circuits: static ESP
+//!   intervals (one fold over the gate stream, whole-circuit and per
+//!   qubit), link attribution, decoherence exposure, missed-VQM routes
+//!   and weak-region allocations.
 //! - **The [`Verifier`]**, which bundles the standard registry and plugs
 //!   into `MappingPolicy::compile_with` via [`quva::CompileAudit`],
 //!   running there only the passes that can report an error; the
@@ -79,7 +78,6 @@
 
 mod audit;
 pub mod contracts;
-pub mod dataflow;
 mod diagnostic;
 mod pass;
 pub mod passes;
@@ -89,8 +87,8 @@ pub use contracts::{check_pipeline, violation_code};
 pub use diagnostic::{Diagnostic, LintCode, Report, Severity, Span};
 pub use pass::{CircuitPass, CompiledContext, CompiledPass, PassRegistry};
 pub use passes::cost::{
-    cost_envelope, envelope_of, per_qubit_events, total_events, CostBudget, CostEnvelope, CostInterval,
-    CostModel, FRAME_BUDGET_BYTES,
+    cost_envelope, envelope_of, total_events, CostBudget, CostEnvelope, CostInterval, CostModel,
+    FRAME_BUDGET_BYTES,
 };
 pub use passes::esp::{
     esp_interval, link_attribution, per_qubit_esp, EspConfig, EspInterval, LinkAttribution,
@@ -144,16 +142,6 @@ impl Verifier {
         Verifier {
             registry: PassRegistry::standard(),
         }
-    }
-
-    /// A verifier over a custom registry.
-    pub fn with_registry(registry: PassRegistry) -> Self {
-        Verifier { registry }
-    }
-
-    /// The underlying registry.
-    pub fn registry(&self) -> &PassRegistry {
-        &self.registry
     }
 
     /// Runs every compiled-output pass.

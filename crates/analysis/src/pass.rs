@@ -9,6 +9,7 @@ use quva_device::Device;
 
 use crate::diagnostic::{Diagnostic, LintCode, Report, Severity};
 use crate::passes;
+use crate::passes::esp::EspConfig;
 
 /// A static pass over a *logical* (program) circuit, optionally aware
 /// of the device it is intended for.
@@ -51,7 +52,7 @@ pub trait CompiledPass: Send + Sync {
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>);
 }
 
-/// An ordered collection of passes: circuit-level lints and
+/// The fixed, ordered set of built-in passes: circuit-level lints and
 /// compiled-output verification passes.
 ///
 /// # Examples
@@ -66,7 +67,6 @@ pub trait CompiledPass: Send + Sync {
 /// let report = PassRegistry::standard().lint_circuit(&c, None);
 /// assert!(report.is_clean());
 /// ```
-#[derive(Default)]
 pub struct PassRegistry {
     circuit: Vec<Box<dyn CircuitPass>>,
     compiled: Vec<Box<dyn CompiledPass>>,
@@ -82,13 +82,6 @@ impl fmt::Debug for PassRegistry {
 }
 
 impl PassRegistry {
-    /// An empty registry; add passes with
-    /// [`PassRegistry::register_circuit_pass`] /
-    /// [`PassRegistry::register_compiled_pass`].
-    pub fn empty() -> Self {
-        PassRegistry::default()
-    }
-
     /// The standard registry: every built-in pass.
     ///
     /// Circuit lints: qubit liveness & width, measurement coverage,
@@ -97,36 +90,35 @@ impl PassRegistry {
     /// consistency, physical hygiene (use-after-measure, redundancy),
     /// calibration sanity, then the reliability-semantic passes (ESP
     /// bound & attribution, decoherence exposure, missed-VQM routes,
-    /// weak-region allocation).
+    /// weak-region allocation) and the cost budget.
     pub fn standard() -> Self {
-        let mut r = PassRegistry::empty();
-        r.register_circuit_pass(Box::new(passes::liveness::QubitLiveness));
-        r.register_circuit_pass(Box::new(passes::measurement::MeasurementCoverage));
-        r.register_circuit_pass(Box::new(passes::redundancy::Redundancy));
-        r.register_circuit_pass(Box::new(passes::calibration::CalibrationSanity));
-        r.register_compiled_pass(Box::new(passes::coupler::CouplerLegality));
-        r.register_compiled_pass(Box::new(passes::permutation::PermutationConsistency));
-        r.register_compiled_pass(Box::new(passes::liveness::PhysicalLiveness));
-        r.register_compiled_pass(Box::new(passes::redundancy::PhysicalRedundancy));
-        r.register_compiled_pass(Box::new(passes::calibration::CompiledCalibrationSanity));
-        r.register_compiled_pass(Box::new(passes::esp::EspReliability::default()));
-        r.register_compiled_pass(Box::new(passes::decoherence::DecoherenceExposure::default()));
-        r.register_compiled_pass(Box::new(passes::routing::MissedVqm::default()));
-        r.register_compiled_pass(Box::new(passes::region::WeakRegion::default()));
-        r.register_compiled_pass(Box::new(passes::cost::CostBudget::default()));
-        r
+        PassRegistry::with_esp_config(EspConfig::default())
     }
 
-    /// Appends a circuit-level pass.
-    pub fn register_circuit_pass(&mut self, pass: Box<dyn CircuitPass>) -> &mut Self {
-        self.circuit.push(pass);
-        self
-    }
-
-    /// Appends a compiled-output pass.
-    pub fn register_compiled_pass(&mut self, pass: Box<dyn CompiledPass>) -> &mut Self {
-        self.compiled.push(pass);
-        self
+    /// The standard passes with the ESP reliability pass judging its
+    /// bound at `config`'s drift, so an audit's findings agree with the
+    /// ESP interval it reports.
+    pub(crate) fn with_esp_config(config: EspConfig) -> Self {
+        PassRegistry {
+            circuit: vec![
+                Box::new(passes::liveness::QubitLiveness),
+                Box::new(passes::measurement::MeasurementCoverage),
+                Box::new(passes::redundancy::Redundancy),
+                Box::new(passes::calibration::CalibrationSanity),
+            ],
+            compiled: vec![
+                Box::new(passes::coupler::CouplerLegality),
+                Box::new(passes::permutation::PermutationConsistency),
+                Box::new(passes::liveness::PhysicalLiveness),
+                Box::new(passes::redundancy::PhysicalRedundancy),
+                Box::new(passes::calibration::CompiledCalibrationSanity),
+                Box::new(passes::esp::EspReliability::with_config(config)),
+                Box::new(passes::decoherence::DecoherenceExposure),
+                Box::new(passes::routing::MissedVqm),
+                Box::new(passes::region::WeakRegion),
+                Box::new(passes::cost::CostBudget::default()),
+            ],
+        }
     }
 
     /// The registered circuit-pass names, in run order.
@@ -200,22 +192,7 @@ impl PassRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diagnostic::{LintCode, Span};
     use quva_circuit::Qubit;
-
-    struct AlwaysWarn;
-    impl CircuitPass for AlwaysWarn {
-        fn name(&self) -> &'static str {
-            "always-warn"
-        }
-        fn run(&self, _: &Circuit, _: Option<&Device>, out: &mut Vec<Diagnostic>) {
-            out.push(Diagnostic::new(
-                LintCode::NoMeasurements,
-                Some(Span::gate(0)),
-                "synthetic",
-            ));
-        }
-    }
 
     #[test]
     fn standard_registry_has_all_passes() {
@@ -260,18 +237,6 @@ mod tests {
             ]
         );
         assert!(report.is_clean(), "{}", report.render_text());
-    }
-
-    #[test]
-    fn custom_pass_registration() {
-        let mut r = PassRegistry::empty();
-        r.register_circuit_pass(Box::new(AlwaysWarn));
-        let mut c = Circuit::new(1);
-        c.h(Qubit(0));
-        let report = r.lint_circuit(&c, None);
-        assert_eq!(report.passes(), ["always-warn"]);
-        assert_eq!(report.warning_count(), 1);
-        assert!(report.is_clean(), "warnings do not fail verification");
     }
 
     #[test]

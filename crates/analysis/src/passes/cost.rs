@@ -30,10 +30,9 @@
 //! follows; the rest takes about a microsecond on q20, less than
 //! fingerprinting the device and circuit to key a memo.
 
-use quva_circuit::{Circuit, Gate, PhysQubit};
+use quva_circuit::{Circuit, Gate};
 use quva_device::Device;
 
-use crate::dataflow::{run_forward, ForwardAnalysis, JoinSemiLattice};
 use crate::diagnostic::{Diagnostic, LintCode};
 use crate::pass::{CompiledContext, CompiledPass};
 
@@ -72,48 +71,6 @@ impl CostInterval {
     }
 }
 
-impl JoinSemiLattice for CostInterval {
-    /// Interval hull: the tightest interval containing both.
-    fn join(&self, other: &Self) -> Self {
-        CostInterval {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
-}
-
-/// Per-qubit fault-event count — the abstract state of the cost
-/// dataflow analysis (ports the ESP interval analysis' per-qubit
-/// attribution to the cost domain: the exit fact of a qubit is how
-/// many Monte-Carlo fault events it participates in per trial).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventCount(pub u64);
-
-impl JoinSemiLattice for EventCount {
-    fn join(&self, other: &Self) -> Self {
-        EventCount(self.0.max(other.0))
-    }
-}
-
-struct EventAnalysis;
-
-impl ForwardAnalysis for EventAnalysis {
-    type State = EventCount;
-
-    fn name(&self) -> &'static str {
-        "event-count"
-    }
-
-    fn boundary(&self, _qubit: usize) -> EventCount {
-        EventCount(0)
-    }
-
-    fn transfer(&self, gate: &Gate<PhysQubit>, _index: usize, inputs: &[EventCount]) -> Vec<EventCount> {
-        let weight = event_weight(gate);
-        inputs.iter().map(|c| EventCount(c.0 + weight)).collect()
-    }
-}
-
 /// The Monte-Carlo fault events one gate contributes per trial: a SWAP
 /// is three CNOT-equivalents (the simulator's failure model), a
 /// barrier is free, everything else is one event.
@@ -132,17 +89,6 @@ fn event_weight<Q>(gate: &Gate<Q>) -> u64 {
 /// circuit to turn measured ns-per-trial into ns-per-event.
 pub fn total_events<Q: quva_circuit::QubitId>(circuit: &Circuit<Q>) -> u64 {
     circuit.gates().iter().map(event_weight).sum()
-}
-
-/// Per-qubit fault-event counts of a physical circuit via the forward
-/// dataflow engine (two-qubit events charge both operands). Index `q`
-/// is physical qubit `q`; untouched qubits report 0.
-pub fn per_qubit_events(circuit: &Circuit<PhysQubit>, num_qubits: usize) -> Vec<u64> {
-    run_forward(&EventAnalysis, circuit, num_qubits)
-        .exit
-        .into_iter()
-        .map(|c| c.0)
-        .collect()
 }
 
 /// Calibrated coefficients of the cost model, plus the documented
@@ -350,6 +296,10 @@ pub fn cost_envelope(device: &Device, circuit: &Circuit, trials: u64, model: &Co
 /// use it.
 pub use self::cost_envelope as envelope_of;
 
+/// QV403 fires when worst-case SWAP events exceed this multiple of the
+/// source program's own events.
+const SWAP_BLOWUP_RATIO: f64 = 16.0;
+
 /// The QV4xx cost-budget pass: evaluates the static cost envelope of
 /// the *source* program against the configured budgets.
 ///
@@ -358,7 +308,7 @@ pub use self::cost_envelope as envelope_of;
 /// registry runs with both unset, so plain `quva lint` / `quva audit`
 /// stay quiet about budgets nobody declared. QV403 and QV404 guard
 /// intrinsic pathologies and are always armed.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBudget {
     /// The cost model to evaluate under.
     pub model: CostModel,
@@ -370,21 +320,6 @@ pub struct CostBudget {
     /// Requested 95 % confidence-interval half-width (QV402); `None`
     /// disables.
     pub ci_half_width: Option<f64>,
-    /// QV403 fires when worst-case SWAP events exceed this multiple of
-    /// the source program's own events.
-    pub swap_blowup_ratio: f64,
-}
-
-impl Default for CostBudget {
-    fn default() -> Self {
-        CostBudget {
-            model: CostModel::default(),
-            deadline_ms: None,
-            trials: None,
-            ci_half_width: None,
-            swap_blowup_ratio: 16.0,
-        }
-    }
 }
 
 impl CostBudget {
@@ -450,16 +385,14 @@ impl CompiledPass for CostBudget {
         }
 
         let swap_events_hi = envelope.events_hi - envelope.events_lo;
-        if envelope.events_lo > 0
-            && swap_events_hi as f64 > self.swap_blowup_ratio * envelope.events_lo as f64
-        {
+        if envelope.events_lo > 0 && swap_events_hi as f64 > SWAP_BLOWUP_RATIO * envelope.events_lo as f64 {
             out.push(Diagnostic::new(
                 LintCode::PathologicalRoutingBlowup,
                 None,
                 format!(
                     "worst-case routing adds {swap_events_hi} fault events to a {}-event program \
                      (> {}x): the topology's diameter makes static admission bounds degenerate",
-                    envelope.events_lo, self.swap_blowup_ratio,
+                    envelope.events_lo, SWAP_BLOWUP_RATIO,
                 ),
             ));
         }
@@ -483,7 +416,6 @@ mod tests {
     use crate::pass::CompiledContext;
     use quva::MappingPolicy;
     use quva_benchmarks::Benchmark;
-    use quva_circuit::Cbit;
     use quva_device::{Device, Topology};
 
     fn envelope_for(bench: &Benchmark, device: &Device, trials: u64) -> CostEnvelope {
@@ -545,17 +477,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn per_qubit_events_charges_operands() {
-        let mut c: Circuit<PhysQubit> = Circuit::with_cbits(3, 3);
-        c.h(PhysQubit(0));
-        c.cnot(PhysQubit(0), PhysQubit(1));
-        c.swap(PhysQubit(1), PhysQubit(2));
-        c.measure(PhysQubit(2), Cbit(0));
-        let events = per_qubit_events(&c, 4);
-        assert_eq!(events, vec![2, 4, 4, 0]);
     }
 
     #[test]
@@ -730,7 +651,6 @@ mod tests {
         let a = CostInterval { lo: 1.0, hi: 4.0 };
         let b = CostInterval { lo: 2.0, hi: 3.0 };
         assert_eq!(a.add(&b), CostInterval { lo: 3.0, hi: 7.0 });
-        assert_eq!(a.join(&b), CostInterval { lo: 1.0, hi: 4.0 });
         assert!(a.contains(4.0));
         assert!(!a.contains(4.1));
         assert_eq!(CostInterval::point(2.0), CostInterval { lo: 2.0, hi: 2.0 });

@@ -57,24 +57,16 @@ pub fn idle_exposure(device: &Device, circuit: &Circuit<PhysQubit>) -> Vec<IdleE
     rows
 }
 
+/// [`LintCode::ExcessiveIdling`] fires when a qubit's idle-decay failure
+/// probability exceeds this value.
+const FAILURE_THRESHOLD: f64 = 0.05;
+
 /// The decoherence-exposure pass: emits [`QV303`] for every qubit whose
 /// idle-window decay probability exceeds the threshold.
 ///
 /// [`QV303`]: LintCode::ExcessiveIdling
-#[derive(Debug, Clone)]
-pub struct DecoherenceExposure {
-    /// [`LintCode::ExcessiveIdling`] fires when a qubit's idle-decay
-    /// failure probability exceeds this value.
-    pub failure_threshold: f64,
-}
-
-impl Default for DecoherenceExposure {
-    fn default() -> Self {
-        DecoherenceExposure {
-            failure_threshold: 0.05,
-        }
-    }
-}
+#[derive(Debug, Default)]
+pub struct DecoherenceExposure;
 
 impl CompiledPass for DecoherenceExposure {
     fn name(&self) -> &'static str {
@@ -87,14 +79,14 @@ impl CompiledPass for DecoherenceExposure {
 
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         for row in idle_exposure(cx.device, cx.compiled.physical()) {
-            if row.failure > self.failure_threshold {
+            if row.failure > FAILURE_THRESHOLD {
                 out.push(Diagnostic::new(
                     LintCode::ExcessiveIdling,
                     None,
                     format!(
                         "physical qubit {} idles {:.0} ns against T1 = {:.0} us \
                          (decay probability {:.4} > {})",
-                        row.qubit, row.idle_ns, row.t1_us, row.failure, self.failure_threshold
+                        row.qubit, row.idle_ns, row.t1_us, row.failure, FAILURE_THRESHOLD
                     ),
                 ));
             }
@@ -159,7 +151,7 @@ mod tests {
             compiled: &compiled,
         };
         let mut out = Vec::new();
-        DecoherenceExposure::default().run(&cx, &mut out);
+        DecoherenceExposure.run(&cx, &mut out);
         assert!(
             out.iter().any(|d| d.code() == LintCode::ExcessiveIdling),
             "{out:?}"
@@ -181,7 +173,7 @@ mod tests {
             compiled: &compiled,
         };
         let mut out = Vec::new();
-        DecoherenceExposure::default().run(&cx, &mut out);
+        DecoherenceExposure.run(&cx, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 }

@@ -14,8 +14,8 @@
 //! * the **whole-circuit ESP bound** — one interval over *gates*
 //!   (each operation counted once), whose point estimate equals the
 //!   simulator's analytic PST under the gate + readout model;
-//! * **per-qubit reliability states** via the forward dataflow engine
-//!   ([`crate::dataflow`]) — each qubit's interval accumulates every
+//! * **per-qubit reliability states** — one fold over a per-qubit
+//!   vector in program order: each qubit's interval accumulates every
 //!   operation it participates in (two-qubit failures charge both
 //!   operands), yielding the error-attribution table that names the
 //!   weakest qubits and links.
@@ -23,7 +23,6 @@
 use quva_circuit::{Circuit, Gate, PhysQubit};
 use quva_device::Device;
 
-use crate::dataflow::{run_forward, ForwardAnalysis, JoinSemiLattice};
 use crate::diagnostic::{Diagnostic, LintCode};
 use crate::pass::{CompiledContext, CompiledPass};
 
@@ -93,68 +92,28 @@ impl EspInterval {
     }
 }
 
-impl JoinSemiLattice for EspInterval {
-    /// Interval hull: the tightest interval containing both.
-    fn join(&self, other: &Self) -> Self {
-        EspInterval {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-            point: self.point.min(other.point),
+/// The success interval of one operation under drift `delta`, or
+/// `None` for a barrier and for a two-qubit gate on an uncoupled or
+/// disabled pair (coupler legality reports those; the ESP analysis
+/// skips them to stay total).
+fn gate_interval(device: &Device, gate: &Gate<PhysQubit>, delta: f64) -> Option<EspInterval> {
+    let cal = device.calibration();
+    match gate {
+        Gate::OneQubit { qubit, .. } => Some(EspInterval::of_error(
+            cal.one_qubit_error(qubit.index()),
+            delta,
+            1,
+        )),
+        Gate::Cnot { control, target } => device
+            .link_error(*control, *target)
+            .map(|e| EspInterval::of_error(e, delta, 1)),
+        Gate::Swap { a, b } => device
+            .link_error(*a, *b)
+            .map(|e| EspInterval::of_error(e, delta, 3)),
+        Gate::Measure { qubit, .. } => {
+            Some(EspInterval::of_error(cal.readout_error(qubit.index()), delta, 1))
         }
-    }
-}
-
-/// The dataflow analysis: per-qubit success-probability intervals.
-struct EspAnalysis<'a> {
-    device: &'a Device,
-    config: EspConfig,
-}
-
-impl EspAnalysis<'_> {
-    /// The success interval of one gate, or `None` for a two-qubit gate
-    /// on an uncoupled/disabled pair (coupler legality reports those;
-    /// the ESP analysis skips them to stay total).
-    fn gate_interval(&self, gate: &Gate<PhysQubit>) -> Option<EspInterval> {
-        let cal = self.device.calibration();
-        let delta = self.config.drift;
-        match gate {
-            Gate::OneQubit { qubit, .. } => Some(EspInterval::of_error(
-                cal.one_qubit_error(qubit.index()),
-                delta,
-                1,
-            )),
-            Gate::Cnot { control, target } => self
-                .device
-                .link_error(*control, *target)
-                .map(|e| EspInterval::of_error(e, delta, 1)),
-            Gate::Swap { a, b } => self
-                .device
-                .link_error(*a, *b)
-                .map(|e| EspInterval::of_error(e, delta, 3)),
-            Gate::Measure { qubit, .. } => {
-                Some(EspInterval::of_error(cal.readout_error(qubit.index()), delta, 1))
-            }
-            Gate::Barrier { .. } => None,
-        }
-    }
-}
-
-impl ForwardAnalysis for EspAnalysis<'_> {
-    type State = EspInterval;
-
-    fn name(&self) -> &'static str {
-        "esp-interval"
-    }
-
-    fn boundary(&self, _qubit: usize) -> EspInterval {
-        EspInterval::one()
-    }
-
-    fn transfer(&self, gate: &Gate<PhysQubit>, _index: usize, inputs: &[EspInterval]) -> Vec<EspInterval> {
-        match self.gate_interval(gate) {
-            Some(iv) => inputs.iter().map(|s| s.mul(&iv)).collect(),
-            None => inputs.to_vec(),
-        }
+        Gate::Barrier { .. } => None,
     }
 }
 
@@ -182,13 +141,9 @@ impl ForwardAnalysis for EspAnalysis<'_> {
 /// assert!((esp.hi - 0.95).abs() < 1e-12);
 /// ```
 pub fn esp_interval(device: &Device, circuit: &Circuit<PhysQubit>, config: &EspConfig) -> EspInterval {
-    let analysis = EspAnalysis {
-        device,
-        config: *config,
-    };
     circuit
         .iter()
-        .filter_map(|g| analysis.gate_interval(g))
+        .filter_map(|g| gate_interval(device, g, config.drift))
         .fold(EspInterval::one(), |acc, iv| acc.mul(&iv))
 }
 
@@ -196,55 +151,55 @@ pub fn esp_interval(device: &Device, circuit: &Circuit<PhysQubit>, config: &EspC
 /// qubit's interval accumulates every operation it participated in
 /// (two-qubit failures charge both operands, so the per-qubit product
 /// is *not* the circuit ESP — it is the attribution view).
+///
+/// Index `q` is physical qubit `q`, for every qubit of the device (or
+/// of the circuit, if wider); untouched qubits report
+/// [`EspInterval::one`].
 pub fn per_qubit_esp(device: &Device, circuit: &Circuit<PhysQubit>, config: &EspConfig) -> Vec<EspInterval> {
-    let analysis = EspAnalysis {
-        device,
-        config: *config,
-    };
-    run_forward(&analysis, circuit, device.num_qubits()).exit
+    let mut states = vec![EspInterval::one(); device.num_qubits().max(circuit.num_qubits())];
+    for gate in circuit.iter() {
+        let Some(iv) = gate_interval(device, gate, config.drift) else {
+            continue;
+        };
+        let (first, second) = match *gate {
+            Gate::Cnot { control, target } => (control, Some(target)),
+            Gate::Swap { a, b } => (a, Some(b)),
+            Gate::OneQubit { qubit, .. } | Gate::Measure { qubit, .. } => (qubit, None),
+            Gate::Barrier { .. } => continue,
+        };
+        for q in std::iter::once(first).chain(second) {
+            let state = &mut states[q.index()];
+            *state = state.mul(&iv);
+        }
+    }
+    states
 }
+
+/// A link triggers [`LintCode::DominantWeakLink`] when it carries more
+/// than this share of the circuit's two-qubit failure weight…
+const DOMINANCE_SHARE: f64 = 0.4;
+
+/// …and its error rate is at least this multiple of the device mean.
+const DOMINANCE_ERROR_RATIO: f64 = 2.0;
+
+/// [`LintCode::LowEspBound`] fires when the optimistic bound `hi` drops
+/// below this floor.
+const ESP_FLOOR: f64 = 0.05;
 
 /// The ESP reliability pass: computes the whole-circuit bound plus the
 /// link attribution and emits [`QV301`]/[`QV302`] findings.
 ///
 /// [`QV301`]: LintCode::DominantWeakLink
 /// [`QV302`]: LintCode::LowEspBound
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EspReliability {
     config: EspConfig,
-    /// A link triggers [`LintCode::DominantWeakLink`] when it carries
-    /// more than this share of the circuit's two-qubit failure weight…
-    pub dominance_share: f64,
-    /// …and its error rate exceeds this multiple of the device mean.
-    pub dominance_error_ratio: f64,
-    /// [`LintCode::LowEspBound`] fires when the optimistic bound `hi`
-    /// drops below this floor.
-    pub esp_floor: f64,
-}
-
-impl Default for EspReliability {
-    fn default() -> Self {
-        EspReliability {
-            config: EspConfig::default(),
-            dominance_share: 0.4,
-            dominance_error_ratio: 2.0,
-            esp_floor: 0.05,
-        }
-    }
 }
 
 impl EspReliability {
     /// The pass under a specific drift configuration.
     pub fn with_config(config: EspConfig) -> Self {
-        EspReliability {
-            config,
-            ..EspReliability::default()
-        }
-    }
-
-    /// The drift configuration in use.
-    pub fn config(&self) -> &EspConfig {
-        &self.config
+        EspReliability { config }
     }
 }
 
@@ -318,13 +273,13 @@ impl CompiledPass for EspReliability {
     fn run(&self, cx: &CompiledContext<'_>, out: &mut Vec<Diagnostic>) {
         let circuit = cx.compiled.physical();
         let esp = esp_interval(cx.device, circuit, &self.config);
-        if esp.hi < self.esp_floor {
+        if esp.hi < ESP_FLOOR {
             out.push(Diagnostic::new(
                 LintCode::LowEspBound,
                 None,
                 format!(
                     "static ESP is at most {:.4} (point {:.4}, floor {}): trials are mostly noise",
-                    esp.hi, esp.point, self.esp_floor
+                    esp.hi, esp.point, ESP_FLOOR
                 ),
             ));
         }
@@ -334,7 +289,7 @@ impl CompiledPass for EspReliability {
         if let Some(top) = links.first() {
             let share = if total > 0.0 { top.weight / total } else { 0.0 };
             let mean = cx.device.calibration().mean_two_qubit_error();
-            if share > self.dominance_share && mean > 0.0 && top.error >= self.dominance_error_ratio * mean {
+            if share > DOMINANCE_SHARE && mean > 0.0 && top.error >= DOMINANCE_ERROR_RATIO * mean {
                 out.push(Diagnostic::new(
                     LintCode::DominantWeakLink,
                     None,
@@ -415,7 +370,40 @@ mod tests {
         let states = per_qubit_esp(&dev, &c, &EspConfig { drift: 0.0 });
         assert!((states[0].point - 0.9).abs() < 1e-12);
         assert!((states[1].point - 0.9).abs() < 1e-12);
-        assert_eq!(states[2].point, 1.0, "untouched qubit stays at boundary");
+        assert_eq!(states[2], EspInterval::one(), "untouched qubit stays at one");
+    }
+
+    #[test]
+    fn barriers_are_identity() {
+        // one-qubit ops cost 1 %, so a charged barrier would show
+        let dev = device(0.1, 0.01, 0.0);
+        let mut c: Circuit<PhysQubit> = Circuit::new(3);
+        c.h(PhysQubit(0));
+        c.barrier_all();
+        c.h(PhysQubit(0));
+        let states = per_qubit_esp(&dev, &c, &EspConfig { drift: 0.0 });
+        assert!((states[0].point - 0.99 * 0.99).abs() < 1e-12, "{states:?}");
+        assert_eq!(states[1], EspInterval::one());
+        assert_eq!(states[2], EspInterval::one());
+    }
+
+    #[test]
+    fn device_wider_than_circuit_keeps_boundary_states() {
+        let dev = device(0.1, 0.01, 0.0);
+        let mut c: Circuit<PhysQubit> = Circuit::new(2);
+        c.cnot(PhysQubit(0), PhysQubit(1));
+        let states = per_qubit_esp(&dev, &c, &EspConfig { drift: 0.0 });
+        assert_eq!(states.len(), 3, "one state per device qubit");
+        assert!((states[0].point - 0.9).abs() < 1e-12);
+        assert!((states[1].point - 0.9).abs() < 1e-12);
+        assert_eq!(states[2], EspInterval::one(), "outside qubit stays at one");
+    }
+
+    #[test]
+    fn empty_circuit_is_all_boundary() {
+        let dev = device(0.1, 0.01, 0.02);
+        let states = per_qubit_esp(&dev, &Circuit::new(3), &EspConfig::default());
+        assert_eq!(states, vec![EspInterval::one(); 3]);
     }
 
     #[test]

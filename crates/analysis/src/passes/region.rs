@@ -16,25 +16,16 @@ use quva_device::{best_region, region_internal_success};
 use crate::diagnostic::{Diagnostic, LintCode};
 use crate::pass::{CompiledContext, CompiledPass};
 
+/// Minimum acceptable ratio of allocated-region strength to best-region
+/// strength.
+const RATIO_THRESHOLD: f64 = 0.75;
+
 /// The weak-region pass: emits [`QV305`] when the allocated region's
-/// internal success mass falls below [`WeakRegion::ratio_threshold`] of
-/// the best k-region's.
+/// internal success mass falls below 0.75 of the best k-region's.
 ///
 /// [`QV305`]: LintCode::WeakRegionAllocation
-#[derive(Debug, Clone)]
-pub struct WeakRegion {
-    /// Minimum acceptable ratio of allocated-region strength to
-    /// best-region strength.
-    pub ratio_threshold: f64,
-}
-
-impl Default for WeakRegion {
-    fn default() -> Self {
-        WeakRegion {
-            ratio_threshold: 0.75,
-        }
-    }
-}
+#[derive(Debug, Default)]
+pub struct WeakRegion;
 
 /// The physical qubits the initial mapping occupies, ascending.
 pub fn allocated_region(cx: &CompiledContext<'_>) -> Vec<PhysQubit> {
@@ -73,7 +64,7 @@ impl CompiledPass for WeakRegion {
             return;
         }
         let ratio = allocated / best_score;
-        if ratio < self.ratio_threshold {
+        if ratio < RATIO_THRESHOLD {
             let preview: Vec<String> = best.iter().take(6).map(|p| p.to_string()).collect();
             out.push(Diagnostic::new(
                 LintCode::WeakRegionAllocation,
@@ -130,7 +121,7 @@ mod tests {
             compiled,
         };
         let mut out = Vec::new();
-        WeakRegion::default().run(&cx, &mut out);
+        WeakRegion.run(&cx, &mut out);
         out
     }
 

@@ -22,24 +22,18 @@ use quva_circuit::{Gate, PhysQubit};
 use crate::diagnostic::{Diagnostic, LintCode, Span};
 use crate::pass::{CompiledContext, CompiledPass};
 
+/// Minimum log-reliability gap (nats) between the replayed route and the
+/// optimal one before a chain is flagged: 0.25 nats means the chosen
+/// route loses ≥ 22 % relative success probability.
+const GAP_THRESHOLD: f64 = 0.25;
+
 /// The missed-VQM pass: emits [`QV304`] for SWAP chains whose failure
-/// weight exceeds the reliability-optimal route's by more than
-/// [`MissedVqm::gap_threshold`] nats.
+/// weight exceeds the reliability-optimal route's by more than 0.25
+/// nats.
 ///
 /// [`QV304`]: LintCode::MissedVqmRoute
-#[derive(Debug, Clone)]
-pub struct MissedVqm {
-    /// Minimum log-reliability gap (nats) between the replayed route and
-    /// the optimal one before a chain is flagged. The default 0.25 nats
-    /// means the chosen route loses ≥ 22 % relative success probability.
-    pub gap_threshold: f64,
-}
-
-impl Default for MissedVqm {
-    fn default() -> Self {
-        MissedVqm { gap_threshold: 0.25 }
-    }
-}
+#[derive(Debug, Default)]
+pub struct MissedVqm;
 
 impl CompiledPass for MissedVqm {
     fn name(&self) -> &'static str {
@@ -223,7 +217,7 @@ impl MissedVqm {
         };
         let optimal = router.plan_failure_weight(&plan);
         let gap = actual - optimal;
-        if gap <= self.gap_threshold || !gap.is_finite() {
+        if gap <= GAP_THRESHOLD || !gap.is_finite() {
             return;
         }
 
@@ -296,7 +290,7 @@ mod tests {
             compiled,
         };
         let mut out = Vec::new();
-        MissedVqm::default().run(&cx, &mut out);
+        MissedVqm.run(&cx, &mut out);
         out
     }
 

@@ -22,9 +22,8 @@
 //! kernel bug, not noise.
 
 use quva::MappingPolicy;
-use quva_bench::policy_eval::{mc_pst_of, pst_of};
 use quva_device::Device;
-use quva_sim::McKernel;
+use quva_sim::{monte_carlo_pst_with, CoherenceModel, McEngine, McKernel};
 
 struct Config {
     trials: u64,
@@ -85,16 +84,28 @@ fn main() {
     let mut failures = 0usize;
     for bench in quva_benchmarks::table1_suite() {
         for (pname, policy) in &policies {
-            let scalar = mc_pst_of(*policy, &bench, &device, cfg.trials, cfg.seed, McKernel::Scalar);
-            let bp = mc_pst_of(
-                *policy,
-                &bench,
-                &device,
-                cfg.trials,
-                cfg.seed,
-                McKernel::BitParallel,
-            );
-            let analytic = pst_of(*policy, &bench, &device);
+            // one compile per case; both kernels sample the same circuit
+            let compiled = policy
+                .compile(bench.circuit(), &device)
+                .unwrap_or_else(|e| die(&format!("{pname} failed to compile {}: {e}", bench.name())));
+            let physical = compiled.physical();
+            let sample = |kernel: McKernel| {
+                monte_carlo_pst_with(
+                    &device,
+                    physical,
+                    cfg.trials,
+                    cfg.seed,
+                    CoherenceModel::Disabled,
+                    McEngine::sequential().with_kernel(kernel),
+                )
+                .unwrap_or_else(|e| die(&format!("compiled circuits are routed: {e}")))
+            };
+            let scalar = sample(McKernel::Scalar);
+            let bp = sample(McKernel::BitParallel);
+            let analytic = compiled
+                .analytic_pst(&device, CoherenceModel::Disabled)
+                .unwrap_or_else(|e| die(&format!("compiled circuits are routed: {e}")))
+                .pst;
             let n = cfg.trials as f64;
             // SE of the difference of two independent binomial
             // estimates; floored at one success-count quantum so a

@@ -1,151 +1,11 @@
 //! Experiments reproducing the policy evaluation on IBM-Q20
 //! (Table 1, Fig. 12, Fig. 13, Fig. 14, Table 2).
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
 use quva::MappingPolicy;
-use quva_analysis::{esp_interval, EspConfig, EspInterval};
 use quva_benchmarks::{table1_suite, Benchmark};
 use quva_device::{CalibrationGenerator, Device, Topology, VariationProfile};
-use quva_sim::{monte_carlo_pst_with, CoherenceModel, McEngine, McEstimate, McKernel};
+use quva_sim::CoherenceModel;
 use quva_stats::{fmt3, fmt_ratio, mean, Table};
-
-/// Memoized (policy, circuit, device) → PST evaluations.
-///
-/// The figure and chaos suites re-evaluate the same compile + profile
-/// combination many times (fig12 and fig13 share baseline/VQM rows;
-/// `run_all` chains both after table 1), and compilation dominates each
-/// evaluation. The device key is [`Device::fingerprint`] and the
-/// workload key is the structural `Circuit::fingerprint` (display
-/// names like "rnd-SD" omit generator seeds) — any calibration,
-/// topology, dead-link, or circuit change produces a different key, so
-/// daily-series and error-scaling sweeps never alias.
-fn pst_cache() -> &'static Mutex<HashMap<PstKey, f64>> {
-    static CACHE: OnceLock<Mutex<HashMap<PstKey, f64>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// (device fingerprint, policy debug form, circuit fingerprint).
-type PstKey = (u64, String, u64);
-
-/// [`PstKey`] extended with the sampling configuration: trials, seed,
-/// and the trial kernel. The kernel is part of the key because the
-/// scalar oracle and the bit-parallel kernel are distinct
-/// deterministic samples — memoizing across kernels would hide
-/// exactly the divergence the cross-validation suite exists to catch.
-type McKey = (u64, String, u64, u64, u64, McKernel);
-
-/// Memoized (policy, circuit, device, trials, seed, kernel) →
-/// Monte-Carlo estimate. The cross-validation suite evaluates the
-/// same (suite × policy) grid once per kernel; the repeated
-/// compile + profile work dominates, so repeats are a map lookup.
-fn mc_cache() -> &'static Mutex<HashMap<McKey, McEstimate>> {
-    static CACHE: OnceLock<Mutex<HashMap<McKey, McEstimate>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Monte-Carlo PST estimate of `benchmark` compiled with `policy` on
-/// `device`, sampled with `kernel` — memoized process-wide like
-/// [`pst_of`], with the sampling configuration (trials, seed, kernel)
-/// folded into the key.
-///
-/// Runs on the sequential engine: estimates are thread-count
-/// independent by the chunk-merge contract, so a cache keyed without
-/// a thread count is sound.
-///
-/// # Panics
-///
-/// Panics if compilation fails — the experiment configurations are all
-/// known-compilable.
-pub fn mc_pst_of(
-    policy: MappingPolicy,
-    benchmark: &Benchmark,
-    device: &Device,
-    trials: u64,
-    seed: u64,
-    kernel: McKernel,
-) -> McEstimate {
-    let key = (
-        device.fingerprint(),
-        format!("{policy:?}"),
-        benchmark.circuit().fingerprint(),
-        trials,
-        seed,
-        kernel,
-    );
-    if let Ok(cache) = mc_cache().lock() {
-        if let Some(&est) = cache.get(&key) {
-            quva_obs::counter("cache.mc.hit", 1);
-            return est;
-        }
-    }
-    quva_obs::counter("cache.mc.miss", 1);
-    let compiled = policy
-        .compile(benchmark.circuit(), device)
-        .unwrap_or_else(|e| panic!("{} failed to compile {}: {e}", policy.name(), benchmark.name()));
-    let est = monte_carlo_pst_with(
-        device,
-        compiled.physical(),
-        trials,
-        seed,
-        CoherenceModel::Disabled,
-        McEngine::sequential().with_kernel(kernel),
-    )
-    .unwrap_or_else(|e| panic!("compiled circuits are routed: {e}"));
-    if let Ok(mut cache) = mc_cache().lock() {
-        cache.insert(key, est);
-        quva_obs::counter("cache.mc.insert", 1);
-    }
-    est
-}
-
-/// Memoized (policy, circuit, device) → static ESP interval, keyed
-/// identically to [`pst_cache`] so the two caches age together. The
-/// audit tooling evaluates the same configurations the PST experiments
-/// do; memoizing the static bound makes `static ESP + MC` comparisons
-/// one compile instead of two.
-fn esp_cache() -> &'static Mutex<HashMap<PstKey, EspInterval>> {
-    static CACHE: OnceLock<Mutex<HashMap<PstKey, EspInterval>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Static ESP interval of `benchmark` compiled with `policy` on
-/// `device`, under the default calibration-drift configuration.
-///
-/// The point estimate equals [`pst_of`] exactly (both are the analytic
-/// product of per-operation success probabilities under the gate +
-/// readout model); the `[lo, hi]` bound widens every error rate by the
-/// drift uncertainty. Results are cached process-wide next to the PST
-/// memo, keyed by `Device::fingerprint`/`Circuit::fingerprint`.
-///
-/// # Panics
-///
-/// Panics if compilation fails — the experiment configurations are all
-/// known-compilable.
-pub fn esp_interval_of(policy: MappingPolicy, benchmark: &Benchmark, device: &Device) -> EspInterval {
-    let key = (
-        device.fingerprint(),
-        format!("{policy:?}"),
-        benchmark.circuit().fingerprint(),
-    );
-    if let Ok(cache) = esp_cache().lock() {
-        if let Some(&esp) = cache.get(&key) {
-            quva_obs::counter("cache.esp.hit", 1);
-            return esp;
-        }
-    }
-    quva_obs::counter("cache.esp.miss", 1);
-    let compiled = policy
-        .compile(benchmark.circuit(), device)
-        .unwrap_or_else(|e| panic!("{} failed to compile {}: {e}", policy.name(), benchmark.name()));
-    let esp = esp_interval(device, compiled.physical(), &EspConfig::default());
-    if let Ok(mut cache) = esp_cache().lock() {
-        cache.insert(key, esp);
-        quva_obs::counter("cache.esp.insert", 1);
-    }
-    esp
-}
 
 /// Analytic PST of `benchmark` compiled with `policy` on `device`
 /// (exact value of the paper's 1M-trial Monte-Carlo estimate).
@@ -156,41 +16,18 @@ pub fn esp_interval_of(policy: MappingPolicy, benchmark: &Benchmark, device: &De
 /// only. The coherence decomposition is reported separately by
 /// [`coherence_ratio`].
 ///
-/// Results are cached process-wide per (policy, benchmark, device
-/// fingerprint); repeated evaluations of the same configuration are a
-/// map lookup.
-///
 /// # Panics
 ///
 /// Panics if compilation fails — the experiment configurations are all
 /// known-compilable.
 pub fn pst_of(policy: MappingPolicy, benchmark: &Benchmark, device: &Device) -> f64 {
-    // The debug form of the policy is its full configuration (the
-    // display name collapses e.g. every native seed to "native").
-    let key = (
-        device.fingerprint(),
-        format!("{policy:?}"),
-        benchmark.circuit().fingerprint(),
-    );
-    if let Ok(cache) = pst_cache().lock() {
-        if let Some(&pst) = cache.get(&key) {
-            quva_obs::counter("cache.pst.hit", 1);
-            return pst;
-        }
-    }
-    quva_obs::counter("cache.pst.miss", 1);
     let compiled = policy
         .compile(benchmark.circuit(), device)
         .unwrap_or_else(|e| panic!("{} failed to compile {}: {e}", policy.name(), benchmark.name()));
-    let pst = compiled
+    compiled
         .analytic_pst(device, CoherenceModel::Disabled)
         .unwrap_or_else(|e| panic!("compiled circuits are routed: {e}"))
-        .pst;
-    if let Ok(mut cache) = pst_cache().lock() {
-        cache.insert(key, pst);
-        quva_obs::counter("cache.pst.insert", 1);
-    }
-    pst
+        .pst
 }
 
 /// The §4.4 dominance claim: the ratio of gate to coherence failure
@@ -391,101 +228,6 @@ mod tests {
 
     fn parse_ratio(cell: &str) -> f64 {
         cell.trim_end_matches('x').parse().unwrap()
-    }
-
-    #[test]
-    fn pst_cache_hits_are_identical_and_keys_do_not_alias() {
-        let device = Device::ibm_q20();
-        let bench = Benchmark::bv(8);
-        let first = pst_of(MappingPolicy::vqm(), &bench, &device);
-        let cached = pst_of(MappingPolicy::vqm(), &bench, &device);
-        assert_eq!(first.to_bits(), cached.to_bits());
-
-        // same display name, different circuit: must not alias
-        let rnd_a = Benchmark::rnd_sd(8, 16, 1);
-        let rnd_b = Benchmark::rnd_sd(8, 16, 2);
-        assert_ne!(
-            pst_of(MappingPolicy::baseline(), &rnd_a, &device).to_bits(),
-            pst_of(MappingPolicy::baseline(), &rnd_b, &device).to_bits(),
-            "distinct rnd-SD seeds collided in the PST cache"
-        );
-
-        // same policy display name ("native"), different seed: distinct
-        let n1 = pst_of(MappingPolicy::native(1), &bench, &device);
-        let n2 = pst_of(MappingPolicy::native(2), &bench, &device);
-        // (values could coincide by luck of the allocator, but the cache
-        // must at least have evaluated both — sanity-check plausibility)
-        assert!(n1 > 0.0 && n2 > 0.0);
-
-        // recalibrated device: different key, coherent value
-        let scaled = device
-            .with_calibration(device.calibration().with_errors_scaled(0.5))
-            .unwrap();
-        assert!(pst_of(MappingPolicy::vqm(), &bench, &scaled) > first);
-    }
-
-    #[test]
-    fn mc_memo_keys_on_the_kernel_and_agrees_with_the_analytic_value() {
-        let device = Device::ibm_q20();
-        let bench = Benchmark::bv(8);
-        let trials = 50_000;
-        let bp = mc_pst_of(
-            MappingPolicy::vqm(),
-            &bench,
-            &device,
-            trials,
-            7,
-            McKernel::BitParallel,
-        );
-        let cached = mc_pst_of(
-            MappingPolicy::vqm(),
-            &bench,
-            &device,
-            trials,
-            7,
-            McKernel::BitParallel,
-        );
-        assert_eq!(
-            bp.pst.to_bits(),
-            cached.pst.to_bits(),
-            "mc memo hit must be identical"
-        );
-
-        // the scalar oracle is a distinct deterministic sample — the
-        // kernel must be part of the key, not collapsed away
-        let scalar = mc_pst_of(MappingPolicy::vqm(), &bench, &device, trials, 7, McKernel::Scalar);
-        assert_ne!(
-            scalar.successes, bp.successes,
-            "kernels aliased in the MC cache (or sampled identically, which the contract forbids)"
-        );
-
-        // both estimates bracket the analytic value within ~4 SE
-        let exact = pst_of(MappingPolicy::vqm(), &bench, &device);
-        for est in [bp, scalar] {
-            let se = (exact * (1.0 - exact) / trials as f64).sqrt();
-            assert!(
-                (est.pst - exact).abs() <= 4.0 * se,
-                "estimate {} vs analytic {exact} beyond 4 SE ({se})",
-                est.pst
-            );
-        }
-    }
-
-    #[test]
-    fn esp_memo_agrees_with_pst_memo() {
-        let device = Device::ibm_q20();
-        let bench = Benchmark::bv(8);
-        for policy in [MappingPolicy::baseline(), MappingPolicy::vqm()] {
-            let esp = esp_interval_of(policy, &bench, &device);
-            let pst = pst_of(policy, &bench, &device);
-            // the static point estimate IS the analytic PST
-            assert_eq!(esp.point.to_bits(), pst.to_bits(), "{}", policy.name());
-            assert!(esp.lo <= pst && pst <= esp.hi);
-            // cache hit returns the identical interval
-            let again = esp_interval_of(policy, &bench, &device);
-            assert_eq!(esp.lo.to_bits(), again.lo.to_bits());
-            assert_eq!(esp.hi.to_bits(), again.hi.to_bits());
-        }
     }
 
     #[test]

@@ -81,7 +81,8 @@ pub fn qft(n: usize) -> Circuit {
     for i in 0..n {
         c.h(Qubit(i as u32));
         for j in (i + 1)..n {
-            let angle = std::f64::consts::PI / (1u64 << (j - i)) as f64;
+            // a power of two is exact at any distance, so no shift can overflow
+            let angle = std::f64::consts::PI / 2f64.powi((j - i) as i32);
             controlled_phase(&mut c, Qubit(j as u32), Qubit(i as u32), angle);
         }
     }
@@ -450,6 +451,27 @@ mod tests {
         assert_eq!(c.cnot_count(), 2 * pairs);
         assert_eq!(c.swap_count(), n / 2);
         assert_eq!(c.measure_count(), n);
+    }
+
+    #[test]
+    fn qft_phases_keep_shrinking_past_64_qubits() {
+        let magnitudes: Vec<f64> = qft(66)
+            .gates()
+            .iter()
+            .filter_map(|g| match g {
+                Gate::OneQubit {
+                    kind: quva_circuit::OneQubitKind::Rz(angle),
+                    ..
+                } => Some(angle.abs()),
+                _ => None,
+            })
+            .collect();
+        // the most distant pair (65 apart) rotates by about π/2^66
+        let smallest = magnitudes.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(smallest < 1e-18, "smallest rotation {smallest}");
+        // neighbours take the widest phase, π/2, applied as ±π/4 halves
+        let largest = magnitudes.iter().copied().fold(0.0, f64::max);
+        assert_eq!(largest, std::f64::consts::FRAC_PI_4);
     }
 
     #[test]

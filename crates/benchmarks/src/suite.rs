@@ -93,10 +93,12 @@ impl Benchmark {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`.
+    /// Panics if `n < 2` or `n > 64` (an outcome is a `u64` mask).
     pub fn ghz(n: usize) -> Self {
-        let ones = (1u64 << n) - 1;
-        Benchmark::new(format!("GHZ-{n}"), generators::ghz(n), Some(vec![0, ones]))
+        let circuit = generators::ghz(n);
+        assert!(n <= 64, "a GHZ outcome mask holds at most 64 qubits");
+        let ones = u64::MAX >> (64 - n);
+        Benchmark::new(format!("GHZ-{n}"), circuit, Some(vec![0, ones]))
     }
 
     /// §7's TriSwap kernel; the excitation ends on qubit 2.

@@ -691,7 +691,9 @@ fn cmd_lint(args: &ParsedArgs) -> Result<String, ArgsError> {
 /// With `--mc-trials N` a Monte-Carlo PST estimate (deterministic for a
 /// fixed `--seed`, default 7) is embedded in the report and the command
 /// fails if the estimate falls outside the static `[lo, hi]` bound —
-/// the CI cross-check between the dataflow engine and the simulator.
+/// the CI cross-check between the static ESP analysis and the
+/// simulator. `--drift` (default 0.1) widens every error rate for the
+/// interval, the per-qubit rows and the low-ESP finding (QV302) alike.
 fn cmd_audit(args: &ParsedArgs) -> Result<String, ArgsError> {
     let (device, policy, name, program) = load_setup(args)?;
     let drift: f64 = args.get_parsed("drift")?.unwrap_or(0.1);
@@ -1158,11 +1160,9 @@ fn cmd_partition(args: &ParsedArgs) -> Result<String, ArgsError> {
 
 /// `quva profile`: compiles and simulates a suite × policy matrix
 /// under the observability recorder and reports, per case, the
-/// analytic PST, the static ESP interval, and a Monte-Carlo estimate.
-/// The caller ([`run`]) appends the per-stage span table and the
-/// counter summary — including the `cache.pst.*` / `cache.esp.*`
-/// memo statistics (each case evaluates its PST twice, so a healthy
-/// cache shows one hit per case).
+/// analytic PST, the static ESP interval, and a Monte-Carlo estimate,
+/// all three read from the one compiled circuit. The caller ([`run`])
+/// appends the per-stage span table and the counter summary.
 ///
 /// Defaults: the table-1 suite × {baseline, vqm, vqm-mah:4, vqa-vqm}
 /// on `q20`; `--bench` / `--policy` restrict the matrix to one row or
@@ -1194,16 +1194,18 @@ fn cmd_profile(args: &ParsedArgs) -> Result<String, ArgsError> {
         for &policy in &policies {
             let _case = quva_obs::span("profile", "profile.case");
             quva_obs::counter("profile.cases", 1);
-            // compile first so a failure is a reported error, not a
-            // panic inside the memoized evaluators
             let compiled = policy
                 .compile(bench.circuit(), &device)
                 .map_err(|e| ArgsError::new(format!("{} on {}: {e}", policy.name(), bench.name())))?;
-            let pst = quva_bench::policy_eval::pst_of(policy, bench, &device);
-            // the second evaluation is the memo-cache probe: it must
-            // land as a cache.pst.hit in the counter summary
-            let _ = quva_bench::policy_eval::pst_of(policy, bench, &device);
-            let esp = quva_bench::policy_eval::esp_interval_of(policy, bench, &device);
+            let pst = compiled
+                .analytic_pst(&device, CoherenceModel::Disabled)
+                .map_err(|e| ArgsError::new(e.to_string()))?
+                .pst;
+            let esp = quva_analysis::esp_interval(
+                &device,
+                compiled.physical(),
+                &quva_analysis::EspConfig::default(),
+            );
             let mc = {
                 let _mc = quva_obs::span("profile", "profile.simulate");
                 monte_carlo_pst_with(

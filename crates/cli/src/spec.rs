@@ -44,7 +44,9 @@ pub fn parse_policy(spec: &str) -> Result<MappingPolicy, ArgsError> {
 ///
 /// # Errors
 ///
-/// Fails on unknown names or malformed parameters.
+/// Fails on unknown names, malformed parameters, and the sizes
+/// [`quva_serve::parse_benchmark`] refuses (below a generator's
+/// minimum, or over its cap).
 pub fn parse_benchmark(spec: &str) -> Result<Benchmark, ArgsError> {
     quva_serve::parse_benchmark(spec).map_err(|e| ArgsError::new(e.to_string()))
 }

@@ -59,6 +59,24 @@ fn audit_json_matches_golden() {
 }
 
 #[test]
+fn audit_judges_its_esp_bound_at_the_requested_drift() {
+    let audit = |drift: &str| {
+        run(&[
+            "audit", "--device", "q20", "--policy", "baseline", "--bench", "alu", "--drift", drift,
+            "--format", "json",
+        ])
+    };
+    // at 90 % drift the optimistic bound is about 0.69, far above the
+    // 5 % floor, so the same report must not call the bound low
+    let wide = audit("0.9");
+    assert!(wide.contains("\"hi\": 0.68"), "{wide}");
+    assert!(!wide.contains("QV302"), "{wide}");
+    // at the default 10 % the bound is about 0.03 and QV302 fires
+    let narrow = audit("0.1");
+    assert!(narrow.contains("\"code\": \"QV302\""), "{narrow}");
+}
+
+#[test]
 fn cost_json_matches_golden() {
     let out = run(&[
         "cost", "--device", "q20", "--policy", "vqm", "--bench", "bv:8", "--format", "json",

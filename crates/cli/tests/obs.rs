@@ -218,7 +218,7 @@ fn portfolio_compare_records_per_candidate_excess_weight() {
 }
 
 #[test]
-fn profile_reports_stage_timings_and_cache_counters() {
+fn profile_reports_stage_timings_and_counters() {
     let _g = guard();
     let out = run(&[
         "profile",
@@ -237,19 +237,15 @@ fn profile_reports_stage_timings_and_cache_counters() {
     for span in ["compile.total", "compile.route", "sim.run", "profile.case"] {
         assert!(out.contains(span), "profile output missing span {span}:\n{out}");
     }
-    // memo-cache statistics: each case probes the PST memo twice
-    assert!(out.contains("counter cache.pst.hit = 4"), "{out}");
-    assert!(out.contains("counter cache.pst.miss = 4"), "{out}");
-    assert!(out.contains("counter cache.esp.miss = 4"), "{out}");
+    // counter summary: one compile and one simulation per case
     assert!(out.contains("counter profile.cases = 4"), "{out}");
+    assert!(out.contains("counter sim.runs = 4"), "{out}");
 }
 
 #[test]
 fn trace_verify_accepts_real_traces_and_rejects_corrupt_ones() {
     let _g = guard();
     let path = temp_path("verify_roundtrip.json");
-    // bv:3 (not ghz:3): the PST memo is process-global, and the
-    // profile matrix test asserts exact cold-cache counts for its keys
     run(&[
         "profile",
         "--device",

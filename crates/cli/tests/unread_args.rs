@@ -1,5 +1,6 @@
 //! A `quva` command line with an argument its command does not read
-//! exits 1, names the argument, and writes no file.
+//! exits 1, names the argument, and writes no file; so does one whose
+//! benchmark spec is out of range.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -21,6 +22,13 @@ fn fresh_temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("quva-unread-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
     dir
+}
+
+#[test]
+fn out_of_range_benchmarks_are_named() {
+    let err = refused(&["cost", "--device", "q20", "--bench", "bv:0"]);
+    assert!(err.contains("'bv:0'"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

@@ -4,10 +4,11 @@
 //! Resolution (spec strings → device/policy/circuit) runs on the
 //! connection thread so the cache can be consulted before admission;
 //! execution (compile/simulate/audit) runs on a worker. Both are
-//! hardened: resolution wraps the benchmark generators in
-//! `catch_unwind` because degenerate sizes (e.g. `bv:1`) assert, and
-//! execution is wrapped again by the worker loop as the last line of
-//! panic isolation.
+//! hardened: the spec parsers refuse out-of-range sizes (e.g. `bv:1`)
+//! with an error naming the spec before any generator runs, resolution
+//! still wraps them in `catch_unwind` as a backstop for a generator
+//! assertion they miss, and execution is wrapped again by the worker
+//! loop as the last line of panic isolation.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -42,7 +43,8 @@ pub struct ResolvedJob {
 /// # Errors
 ///
 /// Returns a message naming the offending spec on parse failure, or a
-/// generic message if a generator asserted on a degenerate parameter.
+/// generic message if a generator asserted on a parameter the parser
+/// let through.
 pub fn resolve(spec: &JobSpec) -> Result<ResolvedJob, String> {
     let spec = spec.clone();
     catch_unwind(AssertUnwindSafe(move || -> Result<ResolvedJob, String> {

@@ -33,7 +33,8 @@ impl Error for SpecError {}
 /// The most qubits a device spec may ask for. Every device-derived
 /// table is n×n (the hop matrix alone holds n² entries), so a spec is
 /// measured against this cap before its topology is built. The largest
-/// layout the workloads use has 30 qubits.
+/// layout the workloads use has 30 qubits. A benchmark wider than this
+/// is refused too: no accepted device could host it.
 const MAX_SPEC_QUBITS: usize = 1024;
 
 /// The most links a device spec may ask for. Each table build walks
@@ -42,6 +43,25 @@ const MAX_SPEC_QUBITS: usize = 1024;
 /// and longer to compile. Every layout but `full:N` has fewer than two
 /// links per qubit, so only `full:N` with N > 64 reaches this cap.
 const MAX_SPEC_LINKS: usize = 2 * MAX_SPEC_QUBITS;
+
+/// The widest `qft:N` a spec may ask for. A QFT holds N(N−1)/2
+/// controlled phases, so its size grows as N², and quvad builds it on
+/// the connection thread before admission: `qft:256` is about 164 000
+/// gates.
+const MAX_QFT_QUBITS: usize = 256;
+
+/// The most CNOTs an `rnd-sd:N:CNOTS` or `rnd-ld:N:CNOTS` spec may ask
+/// for.
+const MAX_RND_CNOTS: usize = 100_000;
+
+/// The deepest `mirror:N:DEPTH` a spec may ask for. Each layer holds
+/// about 1.5·N gates and the inverse half doubles them, so
+/// `mirror:1024:64` is about 197 000 gates.
+const MAX_MIRROR_DEPTH: usize = 64;
+
+/// The widest `bv`, `ghz` or `w` spec: these workloads list their
+/// accepted outcomes as `u64` masks, one bit per measured qubit.
+const MAX_OUTCOME_QUBITS: usize = 64;
 
 /// Builds a device from a spec string.
 ///
@@ -213,11 +233,28 @@ pub fn parse_policy(spec: &str) -> Result<MappingPolicy, SpecError> {
 /// `triswap`, `w:N`, `grover2:N`, `mirror:N:DEPTH`, `rnd-sd:N:CNOTS`,
 /// `rnd-ld:N:CNOTS`.
 ///
+/// Every parameter is checked before a generator runs: `bv`, `ghz` and
+/// `w` take 2 to 64 qubits, `qft` 1 to 256, `mirror` and `rnd-*` up to
+/// 1024 (at least 2 and 4); a mirror is at most 64 layers deep, a
+/// random kernel at most 100 000 CNOTs, and `grover2` marks an item in
+/// 0 to 3.
+///
 /// # Errors
 ///
-/// Fails on unknown names or malformed parameters.
+/// Fails on unknown names, malformed parameters, and parameters out of
+/// range; the message names the spec.
 pub fn parse_benchmark(spec: &str) -> Result<Benchmark, SpecError> {
     let bad = |what: &str| SpecError::new(format!("bad {what} in benchmark '{spec}'"));
+    let bounded = |text: &str, what: &str, min: usize, max: usize| -> Result<usize, SpecError> {
+        let value: usize = text.parse().map_err(|_| bad(what))?;
+        if (min..=max).contains(&value) {
+            Ok(value)
+        } else {
+            Err(SpecError::new(format!(
+                "{what} {value} out of range {min}..={max} in benchmark '{spec}'"
+            )))
+        }
+    };
     if spec == "alu" {
         return Ok(Benchmark::alu());
     }
@@ -226,23 +263,23 @@ pub fn parse_benchmark(spec: &str) -> Result<Benchmark, SpecError> {
     }
     if let Some((kind, rest)) = spec.split_once(':') {
         return match kind {
-            "bv" => Ok(Benchmark::bv(rest.parse().map_err(|_| bad("size"))?)),
-            "w" => Ok(Benchmark::w_state(rest.parse().map_err(|_| bad("size"))?)),
-            "grover2" => Ok(Benchmark::grover2(rest.parse().map_err(|_| bad("marked item"))?)),
+            "bv" => Ok(Benchmark::bv(bounded(rest, "size", 2, MAX_OUTCOME_QUBITS)?)),
+            "w" => Ok(Benchmark::w_state(bounded(rest, "size", 2, MAX_OUTCOME_QUBITS)?)),
+            "grover2" => Ok(Benchmark::grover2(bounded(rest, "marked item", 0, 3)? as u64)),
             "mirror" => {
                 let (n, depth) = rest.split_once(':').ok_or_else(|| bad("shape (want N:DEPTH)"))?;
                 Ok(Benchmark::mirror(
-                    n.parse().map_err(|_| bad("size"))?,
-                    depth.parse().map_err(|_| bad("depth"))?,
+                    bounded(n, "size", 2, MAX_SPEC_QUBITS)?,
+                    bounded(depth, "depth", 0, MAX_MIRROR_DEPTH)?,
                     1,
                 ))
             }
-            "qft" => Ok(Benchmark::qft(rest.parse().map_err(|_| bad("size"))?)),
-            "ghz" => Ok(Benchmark::ghz(rest.parse().map_err(|_| bad("size"))?)),
+            "qft" => Ok(Benchmark::qft(bounded(rest, "size", 1, MAX_QFT_QUBITS)?)),
+            "ghz" => Ok(Benchmark::ghz(bounded(rest, "size", 2, MAX_OUTCOME_QUBITS)?)),
             "rnd-sd" | "rnd-ld" => {
                 let (n, cnots) = rest.split_once(':').ok_or_else(|| bad("shape (want N:CNOTS)"))?;
-                let n = n.parse().map_err(|_| bad("size"))?;
-                let cnots = cnots.parse().map_err(|_| bad("cnot count"))?;
+                let n = bounded(n, "size", 4, MAX_SPEC_QUBITS)?;
+                let cnots = bounded(cnots, "cnot count", 0, MAX_RND_CNOTS)?;
                 Ok(if kind == "rnd-sd" {
                     Benchmark::rnd_sd(n, cnots, 1)
                 } else {
@@ -321,6 +358,61 @@ mod tests {
         for spec in ["ring:1", "ring:2", "heavyhex:1x3", "heavyhex:2x2"] {
             assert!(parse_device(spec).is_err(), "{spec}");
         }
+    }
+
+    #[test]
+    fn benchmark_parameters_are_checked_before_building() {
+        // every family just below its minimum, at it, at its cap, and
+        // one past the cap
+        let table = [
+            ("bv:1", false),
+            ("bv:2", true),
+            ("bv:64", true),
+            ("bv:65", false),
+            ("w:1", false),
+            ("w:2", true),
+            ("w:64", true),
+            ("w:65", false),
+            ("ghz:1", false),
+            ("ghz:2", true),
+            ("ghz:64", true),
+            ("ghz:65", false),
+            ("grover2:-1", false),
+            ("grover2:0", true),
+            ("grover2:3", true),
+            ("grover2:4", false),
+            ("qft:0", false),
+            ("qft:1", true),
+            ("qft:256", true),
+            ("qft:257", false),
+            ("mirror:1:1", false),
+            ("mirror:2:0", true),
+            ("mirror:1024:64", true),
+            ("mirror:1025:1", false),
+            ("mirror:2:65", false),
+            ("rnd-sd:3:0", false),
+            ("rnd-sd:4:0", true),
+            ("rnd-sd:1024:100000", true),
+            ("rnd-sd:1025:1", false),
+            ("rnd-sd:4:100001", false),
+            ("rnd-ld:3:0", false),
+            ("rnd-ld:4:0", true),
+            ("rnd-ld:1024:100000", true),
+            ("rnd-ld:1025:1", false),
+            ("rnd-ld:4:100001", false),
+        ];
+        for (spec, accepted) in table {
+            match std::panic::catch_unwind(|| parse_benchmark(spec)) {
+                Ok(Ok(_)) => assert!(accepted, "{spec} was accepted"),
+                Ok(Err(e)) => {
+                    assert!(!accepted, "{spec}: {e}");
+                    assert!(e.to_string().contains(spec), "{spec}: {e}");
+                }
+                Err(_) => panic!("{spec} panicked"),
+            }
+        }
+        // the widest GHZ still accepts all-ones
+        assert!(parse_benchmark("ghz:64").unwrap().is_success(u64::MAX));
     }
 
     #[test]
