@@ -174,6 +174,14 @@ impl CostModel {
     }
 }
 
+/// The most fault events the optimistic Monte-Carlo bound charges one
+/// trial: the rows of one block of the bit-parallel kernel
+/// (`quva_sim::BITPARALLEL_BLOCK_ROWS`, which a test keeps equal). A
+/// 64-trial word stops once all its trials have failed, checking after
+/// each block, so a hopeless circuit costs about one block per word
+/// however long it is; only the first block is certain work.
+const MC_EVENTS_LO_CAP: u64 = 32;
+
 /// Fixed pessimistic overhead added to the Monte-Carlo `hi` bound:
 /// profile construction, chunk scheduling, and thread spawn are paid
 /// once per run regardless of the trial budget.
@@ -195,7 +203,10 @@ pub struct CostEnvelope {
     /// Wall-clock bound on compilation (allocation + routing), ns.
     pub compile_ns: CostInterval,
     /// Wall-clock bound on the Monte-Carlo estimate at the requested
-    /// trial budget, ns (`[0, 0]` when no trials are requested).
+    /// trial budget, ns (`[0, 0]` when no trials are requested). `lo`
+    /// charges each trial at most one kernel block of events, because
+    /// a word whose trials have all failed stops early; `hi` charges
+    /// every event.
     pub mc_ns: CostInterval,
     /// Peak working-set bound (fault table + chunk buffers), bytes.
     pub peak_bytes: CostInterval,
@@ -253,7 +264,7 @@ pub fn cost_envelope(device: &Device, circuit: &Circuit, trials: u64, model: &Co
         CostInterval::zero()
     } else {
         CostInterval {
-            lo: trials as f64 * events_lo as f64 * model.ns_per_event / model.mc_slack,
+            lo: trials as f64 * events_lo.min(MC_EVENTS_LO_CAP) as f64 * model.ns_per_event / model.mc_slack,
             hi: trials as f64 * events_hi as f64 * model.ns_per_event * model.mc_slack + MC_FIXED_OVERHEAD_NS,
         }
     };
@@ -480,17 +491,38 @@ mod tests {
     }
 
     #[test]
-    fn memo_returns_identical_envelopes_and_keys_do_not_alias() {
+    fn optimistic_mc_bound_charges_one_kernel_block_per_trial() {
+        let device = Device::ibm_q20();
+        let model = CostModel::default();
+        // bv-8's 30 events fit in one block, so all of them are charged
+        let short = envelope_for(&Benchmark::bv(8), &device, 1_000_000);
+        assert_eq!(short.events_lo, 30);
+        let per_event = 1_000_000.0 * model.ns_per_event / model.mc_slack;
+        assert!((short.mc_ns.lo - 30.0 * per_event).abs() < 1e-6);
+        // a long program is charged one block, but `hi` keeps every event
+        let long = envelope_for(&Benchmark::rnd_sd(20, 4_000, 1), &device, 1_000_000);
+        assert!(long.events_lo > 4_000);
+        assert!((long.mc_ns.lo - MC_EVENTS_LO_CAP as f64 * per_event).abs() < 1e-6);
+        assert!(long.mc_ns.hi > long.events_hi as f64 * 1_000_000.0 * model.ns_per_event);
+    }
+
+    #[test]
+    fn optimistic_mc_cap_is_one_kernel_block() {
+        assert_eq!(MC_EVENTS_LO_CAP, quva_sim::BITPARALLEL_BLOCK_ROWS as u64);
+    }
+
+    #[test]
+    fn envelopes_are_deterministic_and_argument_sensitive() {
         let device = Device::ibm_q20();
         let bench = Benchmark::bv(8);
         let model = CostModel::default();
         let first = envelope_of(&device, bench.circuit(), 1_000, &model);
         let again = envelope_of(&device, bench.circuit(), 1_000, &model);
         assert_eq!(first, again);
-        // different trial budget: different key
+        // a larger trial budget widens the bound
         let more = envelope_of(&device, bench.circuit(), 2_000, &model);
         assert!(more.mc_ns.hi > first.mc_ns.hi);
-        // different model: different key
+        // a slower model raises it
         let recal = CostModel {
             ns_per_event: 123.0,
             ..model

@@ -45,6 +45,26 @@ fn suite_times_four_policies_stay_inside_the_envelope_on_stock_q20() {
     assert!(bad.is_empty(), "envelope violated:\n{}", bad.join("\n"));
 }
 
+/// A long circuit at PST ≈ 0, where every lane-word saturates within a
+/// few hundred of its ~8 000 events and stops: the optimistic bound
+/// must not charge a trial for the events it never evaluates. In a
+/// release build on a 2-vCPU VM the run took 25-37 ms, against a
+/// 60 ms `lo` that charged every event to every trial.
+#[test]
+fn a_long_hopeless_circuit_stays_inside_the_envelope() {
+    let device = Device::ibm_q20();
+    let bench = quva_benchmarks::Benchmark::rnd_sd(20, 4_000, 1);
+    let checks = measure_case(
+        &device,
+        &bench,
+        &MappingPolicy::baseline(),
+        2_000_000,
+        &CostModel::default(),
+    );
+    let bad = violations("rnd-sd-20-4000/baseline", &checks);
+    assert!(bad.is_empty(), "envelope violated:\n{}", bad.join("\n"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

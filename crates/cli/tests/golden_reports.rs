@@ -4,7 +4,9 @@
 //! jobs and external tooling, so their schema and byte-level rendering
 //! are contractual: fixed key order, documented row sort orders, floats
 //! via Rust's shortest-roundtrip formatting. These tests pin the exact
-//! bytes against checked-in goldens.
+//! bytes against checked-in goldens. The `simulate` goldens also pin
+//! the Monte-Carlo sample: an engine optimization must reproduce every
+//! success count they record.
 //!
 //! To regenerate after an intentional schema change:
 //!
@@ -115,6 +117,43 @@ fn cost_json_is_deterministic_and_schema_complete() {
         "\"trials_needed\": 10000",
     ] {
         assert!(a.contains(key), "cost JSON missing {key}:\n{a}");
+    }
+}
+
+/// `simulate` at 200 000 trials and seed 7 must print the golden bytes
+/// at one and two engine threads: the goldens pin the Monte-Carlo
+/// sample itself, so a kernel change that moves a single draw fails
+/// here even when every thread count still agrees with every other.
+#[test]
+fn simulate_json_matches_golden_at_one_and_two_threads() {
+    for (name, policy, bench) in [
+        ("simulate_q20_baseline_alu.json", "baseline", "alu"),
+        (
+            "simulate_q20_baseline_rnd-ld-16-32.json",
+            "baseline",
+            "rnd-ld:16:32",
+        ),
+        ("simulate_q20_vqa-vqm_qft-12.json", "vqa-vqm", "qft:12"),
+        ("simulate_q20_vqa-vqm_bv-16.json", "vqa-vqm", "bv:16"),
+    ] {
+        for threads in ["1", "2"] {
+            let out = run(&[
+                "simulate",
+                "--device",
+                "q20",
+                "--policy",
+                policy,
+                "--bench",
+                bench,
+                "--trials",
+                "200000",
+                "--seed",
+                "7",
+                "--threads",
+                threads,
+            ]);
+            check_golden(name, &out);
+        }
     }
 }
 

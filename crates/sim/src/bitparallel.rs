@@ -36,9 +36,22 @@
 //! form events always stand alone.
 //!
 //! With the paper-scale event probabilities (p mostly well under 0.15)
-//! the expected number of *firing* rows per word is small, so almost
-//! all per-row work is the O(1) alias lookup; lane placement runs only
-//! for rows that actually fired.
+//! the expected number of *firing* rows per word is small, so most
+//! per-row work is the O(1) alias lookup; lane placement runs only for
+//! rows that actually fired.
+//!
+//! # Saturation exit
+//!
+//! Most of the paper's workloads run at low PST, so most words have
+//! failed all 64 trials long before the circuit ends. The sweep checks
+//! after each block of [`BLOCK`] rows whether the failure mask is all
+//! ones, and if so stops the word. The exit is exact: a mask only gains
+//! bits as rows are ORed in, so the rows left could not change it, and
+//! every draw is keyed by `(word, row)`, so skipping rows perturbs no
+//! other draw. The check compares all 64 bits rather than the word's
+//! counted lanes, so the returned mask is the full-sweep mask for every
+//! lane mask. A saturated word therefore costs the blocks it took to
+//! saturate, however many rows follow.
 //!
 //! # Counter-based draws and the determinism contract
 //!
@@ -51,8 +64,10 @@
 //!
 //! * traced and untraced runs execute one sweep body (tracing is a
 //!   const parameter that compiles the tally writes in or out), so
-//!   they consume *identical* draws — tracing cannot perturb the
-//!   sample;
+//!   they consume *identical* draws and stop at the same block —
+//!   tracing cannot perturb the sample, and first-failure attribution
+//!   is the full sweep's, because a saturated word has no lane left to
+//!   attribute;
 //! * merged counts are invariant under any partition of the trial range
 //!   into chunks and any thread schedule, because a word's failure mask
 //!   never depends on which chunk computed it.
@@ -90,10 +105,15 @@ const FRAC_MASK: u32 = (1 << FRAC_BITS) - 1;
 /// alias table, so phase 1 learns it from the cell it already loaded.
 const INV_BIT: u32 = 1 << 31;
 
-/// Rows per compaction block: small enough that the fire buffers
-/// live comfortably on the stack, large enough that real circuits
-/// (tens of events) need a single block.
-const BLOCK: usize = 256;
+/// Rows per block: a word checks for saturation after each block, so
+/// this is the most work a word does past the row that saturated it.
+/// The cost envelope's optimistic Monte-Carlo bound charges a trial at
+/// most this many events (`MC_EVENTS_LO_CAP` in `quva-analysis`, which
+/// a test there keeps equal to this), so 32 keeps the bound of
+/// programs up to 32 events (bv-8 has 30) where it was. In interleaved
+/// 10 s mc-sweep rounds on a 2-vCPU VM, 16-row blocks ran 5-11 %
+/// faster than 32 and 64-row blocks 10-12 % slower.
+pub const BLOCK: usize = 32;
 
 /// Largest fused attempt rate: `P(Poisson(32) ≥ 63) < 3·10⁻⁸`, so
 /// folding the tail into slot 63 stays invisible after fusion.
@@ -162,13 +182,24 @@ impl LaneTable {
 /// The worst case is `λ = 64·ln 2 ≈ 44.4` for a lone `p = 1/2` event,
 /// where the recurrence start `e^(−λ) ≈ 5·10⁻²⁰` is still far from
 /// underflow, so the simple ratio recurrence is accurate everywhere.
+///
+/// The recurrence runs to at most 400 terms and stops at the first one
+/// that changes no slot: a zero term, or, past the mode, a tail term
+/// too small to move slot 63. Past the mode each term is at most the
+/// one before, and rounding is monotone, so no later term could change
+/// a slot either; the pmf is the 400-term sum's, bit for bit.
 fn attempts_pmf(lam: f64) -> [f64; SLOTS] {
     let mut pmf = [0f64; SLOTS];
     let mut v = (-lam).exp();
     pmf[0] = v;
     for m in 1..=400usize {
         v *= lam / m as f64;
-        pmf[m.min(SLOTS - 1)] += v;
+        let slot = &mut pmf[m.min(SLOTS - 1)];
+        let before = *slot;
+        *slot += v;
+        if v == 0.0 || (*slot == before && m as f64 >= lam) {
+            break;
+        }
     }
     pmf
 }
@@ -260,8 +291,8 @@ fn place(r: u64, m: usize, wb: u64, e: u64) -> u64 {
 }
 
 /// Reusable compaction buffers for the two-phase sweep. Callers keep
-/// one per chunk: zero-initializing 3 KiB of stack per word would cost
-/// more than the sweep itself.
+/// one per chunk rather than zeroing them for every word, which a
+/// word that saturates in its first block would notice.
 #[derive(Debug)]
 pub(crate) struct Scratch {
     r: [u64; BLOCK],
@@ -288,7 +319,8 @@ impl Default for Scratch {
 /// ubiquitous direct-form `m == 1` fire is merged into the mask at
 /// once; traced, it is buffered like every other fire, because
 /// attribution needs the fires in program order. Both orders OR the
-/// same masks, so the returned mask is the same.
+/// same masks, so the returned mask is the same, and both stop after
+/// the first block that leaves it all ones.
 #[inline]
 fn sweep<const HAS_INV: bool, const TRACED: bool>(
     table: &LaneTable,
@@ -339,6 +371,9 @@ fn sweep<const HAS_INV: bool, const TRACED: bool>(
             }
             fail |= mask;
         }
+        if fail == !0 {
+            break;
+        }
     }
     fail
 }
@@ -353,12 +388,16 @@ fn sweep<const HAS_INV: bool, const TRACED: bool>(
 /// Complement-form rows are always buffered — even at `m = 0`, where
 /// the inverted empty mask fails the whole word.
 ///
-/// With `TRACED`, the word is also tallied: one word, its fired rows,
-/// and first-failure attribution. A lane aborts at the first row
-/// (program order) whose mask covers it — rows are class-homogeneous,
-/// so this is the same class accounting the scalar kernel performs —
-/// restricted to `lanes` so phantom lanes of a partial word are never
-/// attributed. Untraced, `lanes` and `tally` are unused.
+/// Blocks after the first that leaves the mask all ones are skipped
+/// (see the module docs on the saturation exit).
+///
+/// With `TRACED`, the word is also tallied: one word, the fired rows of
+/// the blocks it visited, and first-failure attribution. A lane aborts
+/// at the first row (program order) whose mask covers it — rows are
+/// class-homogeneous, so this is the same class accounting the scalar
+/// kernel performs — restricted to `lanes` so phantom lanes of a
+/// partial word are never attributed. Untraced, `lanes` and `tally`
+/// are unused.
 #[inline]
 pub(crate) fn word_failures<const TRACED: bool>(
     table: &LaneTable,
@@ -400,6 +439,152 @@ mod tests {
     /// The untraced failure mask of word `wb`.
     fn untraced(table: &LaneTable, wb: u64, scratch: &mut Scratch) -> u64 {
         word_failures::<false>(table, wb, !0, &mut Tally::default(), scratch)
+    }
+
+    /// The attempt-count pmf with every one of its 400 terms summed.
+    fn attempts_pmf_full(lam: f64) -> [f64; SLOTS] {
+        let mut pmf = [0f64; SLOTS];
+        let mut v = (-lam).exp();
+        pmf[0] = v;
+        for m in 1..=400usize {
+            v *= lam / m as f64;
+            pmf[m.min(SLOTS - 1)] += v;
+        }
+        pmf
+    }
+
+    /// The sweep with nothing taken out: every row in program order,
+    /// one `place` per fired row, no blocks and no exit. Tallies like
+    /// the traced kernel: one word, every fired row, and first-failure
+    /// attribution restricted to `lanes`.
+    fn naive_word(table: &LaneTable, wb: u64, lanes: u64, tally: &mut Tally) -> u64 {
+        tally.words += 1;
+        let mut fail = 0u64;
+        for (e, row) in table.rows.iter().enumerate() {
+            let e = e as u64;
+            let r = splitmix(wb.wrapping_add(GOLDEN.wrapping_mul(e + 1)));
+            let j = ((r >> 6) & 63) as usize;
+            let cell = row[j];
+            let m = if (r >> 12) as u32 & FRAC_MASK < cell & FRAC_MASK {
+                j
+            } else {
+                ((cell >> FRAC_BITS) & 63) as usize
+            };
+            let inv = cell & INV_BIT != 0;
+            if m == 0 && !inv {
+                continue;
+            }
+            let placed = place(r, m, wb, e);
+            let mask = if inv { !placed } else { placed };
+            tally.fires += 1;
+            tally.aborts[table.classes[e as usize].index()] += u64::from((mask & !fail & lanes).count_ones());
+            fail |= mask;
+        }
+        fail
+    }
+
+    /// A 4-qubit line whose three links carry the CNOT errors `links`
+    /// and whose qubits carry the gate error `e1q`, running `layers`
+    /// layers of an H on every qubit and a CNOT on the two outer links,
+    /// plus a CNOT on the middle link every `middle_every` layers.
+    fn line_profile(links: [f64; 3], e1q: f64, layers: usize, middle_every: usize) -> FailureProfile {
+        let device = Device::new(Topology::linear(4), |t| {
+            let mut cal = Calibration::uniform(t, 0.0, e1q, 0.0);
+            for (link, &p) in links.iter().enumerate() {
+                cal.set_two_qubit_error(link, p);
+            }
+            cal
+        });
+        let mut c: Circuit<PhysQubit> = Circuit::new(4);
+        for layer in 0..layers {
+            for q in 0..4 {
+                c.h(PhysQubit(q));
+            }
+            c.cnot(PhysQubit(0), PhysQubit(1));
+            c.cnot(PhysQubit(2), PhysQubit(3));
+            if layer % middle_every == middle_every - 1 {
+                c.cnot(PhysQubit(1), PhysQubit(2));
+            }
+        }
+        FailureProfile::new(&device, &c, CoherenceModel::Disabled).expect("line is routed")
+    }
+
+    /// Where most words saturate: PST about 1e-17 over 400 rows.
+    fn low_pst_profile() -> FailureProfile {
+        line_profile([0.05, 0.06, 0.04], 0.01, 200, 1)
+    }
+
+    /// Where no word saturates: PST about 0.85 over 160 rows.
+    fn high_pst_profile() -> FailureProfile {
+        line_profile([0.0005, 0.001, 0.0002], 0.0001, 80, 1)
+    }
+
+    /// With a complement-form (`p > 1/2`) row every 25 layers: PST
+    /// about 1e-4 over 306 rows, so words saturate partway through.
+    fn complement_profile() -> FailureProfile {
+        line_profile([0.01, 0.6, 0.005], 0.002, 150, 25)
+    }
+
+    /// Lane masks cycled over the oracle words: full, low, high, and
+    /// interior partial words.
+    const LANE_MASKS: [u64; 4] = [!0, (1 << 13) - 1, !0 << 17, 0x0000_FFFF_FFFF_FFE0];
+
+    #[test]
+    fn attempts_pmf_matches_the_400_term_sum_bit_for_bit() {
+        let (half, _) = event_rate(0.5);
+        let special = [
+            0.0, 5e-324, 1e-300, 1e-30, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 31.999, FUSE_CAP, half,
+        ];
+        let dense = (0..=60_000).map(|k| f64::from(k) * 44.5 / 60_000.0);
+        let rates = (0..=1000).map(|k| event_rate(f64::from(k) / 1000.0).0);
+        for lam in special.into_iter().chain(dense).chain(rates) {
+            let fast = attempts_pmf(lam);
+            let full = attempts_pmf_full(lam);
+            assert!(
+                fast.iter().zip(&full).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "λ={lam}: {fast:?} vs {full:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn word_failures_matches_the_naive_sweep_on_three_profiles() {
+        let mut sc = Scratch::default();
+        for (name, profile) in [
+            ("low-pst", low_pst_profile()),
+            ("high-pst", high_pst_profile()),
+            ("complement", complement_profile()),
+        ] {
+            let table = LaneTable::new(&profile);
+            assert!(table.rows.len() > 3 * BLOCK, "{name}: {} rows", table.rows.len());
+            let (mut saturated, mut fires, mut naive_fires) = (0u64, 0u64, 0u64);
+            for w in 0..4096u64 {
+                let wb = splitmix(w.wrapping_mul(GOLDEN) ^ 0x5EED);
+                let lanes = LANE_MASKS[(w % 4) as usize];
+                let mut naive = Tally::default();
+                let expect = naive_word(&table, wb, lanes, &mut naive);
+                assert_eq!(untraced(&table, wb, &mut sc), expect, "{name}: word {w} untraced");
+                let mut traced = Tally::default();
+                let got = word_failures::<true>(&table, wb, lanes, &mut traced, &mut sc);
+                assert_eq!(got, expect, "{name}: word {w} traced");
+                assert_eq!(traced.aborts, naive.aborts, "{name}: word {w} attribution");
+                assert_eq!(traced.words, 1);
+                assert!(traced.fires <= naive.fires, "{name}: word {w} fires");
+                saturated += u64::from(expect == !0);
+                fires += traced.fires;
+                naive_fires += naive.fires;
+            }
+            match name {
+                // a count, not a timing: without the exit the traced
+                // fired-row count equals the naive sweep's on any host
+                "low-pst" => assert!(
+                    saturated > 4000 && 2 * fires < naive_fires,
+                    "{name}: {saturated} saturated, {fires} vs {naive_fires} fired rows"
+                ),
+                "high-pst" => assert_eq!((saturated, fires), (0, naive_fires), "{name}"),
+                _ => assert!(table.any_inv && saturated > 0, "{name}: {saturated} saturated"),
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!
 //! * **`BitParallel`** (the default) — the SWAR kernel of
 //!   [`crate::bitparallel`]: 64 trials per `u64` lane-word, one
-//!   binomial alias draw per `(word, event)`, OR-folded failure masks,
-//!   `count_ones()` to merge. ~10x the scalar throughput on the
-//!   1-CPU CI host.
+//!   alias draw of a Poisson attempt count per `(word, fused row)`,
+//!   OR-folded failure masks that stop once all 64 trials have
+//!   failed, `count_ones()` to merge. ~10x the scalar throughput on
+//!   the 1-CPU CI host.
 //! * **`Scalar`** — the original per-trial Bernoulli loop over
 //!   [`rand::rngs::StdRng`], retained as the cross-validation oracle:
 //!   an independent sampling procedure the bit-parallel estimates are
@@ -121,7 +122,8 @@ pub(crate) struct Tally {
     /// once each).
     pub words: u64,
     /// Bit-parallel fused rows that fired (`m ≥ 1`, or any
-    /// complement-form row) across all processed words.
+    /// complement-form row) in the blocks each processed word visited:
+    /// a word that saturates skips the rest, so they are not counted.
     pub fires: u64,
 }
 

@@ -55,6 +55,7 @@ mod profile;
 mod statevector;
 
 pub use analytic::{analytic_pst, PstReport};
+pub use bitparallel::BLOCK as BITPARALLEL_BLOCK_ROWS;
 pub use complex::Complex64;
 pub use correlated::{monte_carlo_pst_correlated, CorrelatedModel};
 pub use crosstalk::{analytic_pst_with_crosstalk, CrosstalkModel};
