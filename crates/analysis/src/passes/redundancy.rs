@@ -105,11 +105,14 @@ pub(crate) fn find_redundancies<Q: QubitId>(circuit: &Circuit<Q>, out: &mut Vec<
     }
 }
 
+/// Whether two non-barrier gates (one or two operands each) act on the
+/// same qubits, in either operand order.
 fn same_qubit_set<Q: QubitId>(a: &Gate<Q>, b: &Gate<Q>) -> bool {
-    let (mut qa, mut qb) = (a.qubits(), b.qubits());
-    qa.sort_unstable();
-    qb.sort_unstable();
-    qa == qb
+    match (&*a.qubits(), &*b.qubits()) {
+        ([a0], [b0]) => a0 == b0,
+        ([a0, a1], [b0, b1]) => (a0, a1) == (b0, b1) || (a0, a1) == (b1, b0),
+        _ => false,
+    }
 }
 
 fn cancels<Q: QubitId>(first: &Gate<Q>, second: &Gate<Q>) -> bool {

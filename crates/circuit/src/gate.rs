@@ -7,6 +7,7 @@
 //! barriers.
 
 use std::fmt;
+use std::ops::Deref;
 
 use crate::qubit::{Cbit, Qubit};
 
@@ -137,7 +138,7 @@ impl fmt::Display for OneQubitKind {
 ///
 /// let g = Gate::cnot(Qubit(0), Qubit(1));
 /// assert!(g.is_two_qubit());
-/// assert_eq!(g.qubits(), vec![Qubit(0), Qubit(1)]);
+/// assert_eq!(*g.qubits(), [Qubit(0), Qubit(1)]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum Gate<Q = Qubit> {
@@ -198,14 +199,15 @@ impl<Q: Copy> Gate<Q> {
         Gate::Measure { qubit, cbit }
     }
 
-    /// All qubits this gate touches, in operand order.
-    pub fn qubits(&self) -> Vec<Q> {
-        match self {
-            Gate::OneQubit { qubit, .. } | Gate::Measure { qubit, .. } => vec![*qubit],
-            Gate::Cnot { control, target } => vec![*control, *target],
-            Gate::Swap { a, b } => vec![*a, *b],
-            Gate::Barrier { qubits } => qubits.clone(),
-        }
+    /// All qubits this gate touches, in operand order, as a view that
+    /// allocates nothing.
+    pub fn qubits(&self) -> Operands<'_, Q> {
+        Operands(match self {
+            Gate::OneQubit { qubit, .. } | Gate::Measure { qubit, .. } => Held::Inline([*qubit; 2], 1),
+            Gate::Cnot { control, target } => Held::Inline([*control, *target], 2),
+            Gate::Swap { a, b } => Held::Inline([*a, *b], 2),
+            Gate::Barrier { qubits } => Held::Borrowed(qubits),
+        })
     }
 
     /// Whether the gate involves exactly two qubits (CNOT or SWAP).
@@ -257,6 +259,85 @@ impl<Q: Copy> Gate<Q> {
     }
 }
 
+/// The qubit operands of one gate, in operand order (see
+/// [`Gate::qubits`]).
+///
+/// A one- or two-qubit gate's operands are held inline and a barrier's
+/// list is borrowed, so visiting a gate's qubits never allocates. The
+/// view derefs to `[Q]`, and iterating it by value yields the qubits.
+///
+/// # Examples
+///
+/// ```
+/// use quva_circuit::{Gate, Qubit};
+///
+/// let g = Gate::swap(Qubit(3), Qubit(1));
+/// let qs = g.qubits();
+/// assert_eq!(qs.len(), 2);
+/// assert_eq!(qs.iter().max(), Some(&Qubit(3)));
+/// let indices: Vec<u32> = qs.into_iter().map(|q| q.0).collect();
+/// assert_eq!(indices, [3, 1]);
+/// ```
+#[derive(Clone, Copy)]
+pub struct Operands<'a, Q>(Held<'a, Q>);
+
+#[derive(Clone, Copy)]
+enum Held<'a, Q> {
+    /// The first `n` entries are the operands.
+    Inline([Q; 2], usize),
+    Borrowed(&'a [Q]),
+}
+
+impl<Q> Deref for Operands<'_, Q> {
+    type Target = [Q];
+
+    fn deref(&self) -> &[Q] {
+        match &self.0 {
+            Held::Inline(qs, n) => &qs[..*n],
+            Held::Borrowed(qs) => qs,
+        }
+    }
+}
+
+impl<Q: fmt::Debug> fmt::Debug for Operands<'_, Q> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a, Q: Copy> IntoIterator for Operands<'a, Q> {
+    type Item = Q;
+    type IntoIter = OperandsIter<'a, Q>;
+
+    fn into_iter(self) -> OperandsIter<'a, Q> {
+        OperandsIter { operands: self, next: 0 }
+    }
+}
+
+/// The by-value iterator over an [`Operands`] view.
+#[derive(Debug, Clone)]
+pub struct OperandsIter<'a, Q> {
+    operands: Operands<'a, Q>,
+    next: usize,
+}
+
+impl<Q: Copy> Iterator for OperandsIter<'_, Q> {
+    type Item = Q;
+
+    fn next(&mut self) -> Option<Q> {
+        let q = *self.operands.get(self.next)?;
+        self.next += 1;
+        Some(q)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.operands.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl<Q: Copy> ExactSizeIterator for OperandsIter<'_, Q> {}
+
 impl<Q: Copy + fmt::Display> fmt::Display for Gate<Q> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -285,10 +366,10 @@ mod tests {
 
     #[test]
     fn qubits_of_each_variant() {
-        assert_eq!(Gate::one(OneQubitKind::H, Qubit(0)).qubits(), vec![Qubit(0)]);
-        assert_eq!(Gate::cnot(Qubit(1), Qubit(2)).qubits(), vec![Qubit(1), Qubit(2)]);
-        assert_eq!(Gate::swap(Qubit(3), Qubit(4)).qubits(), vec![Qubit(3), Qubit(4)]);
-        assert_eq!(Gate::measure(Qubit(5), Cbit(0)).qubits(), vec![Qubit(5)]);
+        assert_eq!(*Gate::one(OneQubitKind::H, Qubit(0)).qubits(), [Qubit(0)]);
+        assert_eq!(*Gate::cnot(Qubit(1), Qubit(2)).qubits(), [Qubit(1), Qubit(2)]);
+        assert_eq!(*Gate::swap(Qubit(3), Qubit(4)).qubits(), [Qubit(3), Qubit(4)]);
+        assert_eq!(*Gate::measure(Qubit(5), Cbit(0)).qubits(), [Qubit(5)]);
         let b: Gate = Gate::Barrier {
             qubits: vec![Qubit(0), Qubit(1)],
         };

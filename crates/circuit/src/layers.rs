@@ -11,7 +11,8 @@ use crate::gate::Gate;
 /// The result of partitioning a circuit into parallel layers.
 ///
 /// Layers store indices into the original circuit's gate list, so no gate
-/// is cloned.
+/// is cloned: one flat array holds every layer's gate indices, layer
+/// after layer, and a second holds where each layer starts in it.
 ///
 /// # Examples
 ///
@@ -27,10 +28,15 @@ use crate::gate::Gate;
 /// assert_eq!(layers.len(), 2);
 /// assert_eq!(layers.layer(0).len(), 2);
 /// assert_eq!(layers.layer(1).len(), 1);
+/// assert_eq!(layers.order(), &[0, 1, 2]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layers {
-    layers: Vec<Vec<usize>>,
+    /// Gate indices, layer after layer, in program order within a layer.
+    order: Vec<usize>,
+    /// `starts[i]..starts[i + 1]` is layer `i`'s range in `order`; the
+    /// last entry is `order.len()`.
+    starts: Vec<usize>,
 }
 
 impl Layers {
@@ -41,41 +47,60 @@ impl Layers {
     /// force all subsequent gates on their qubits into later layers but
     /// occupy no layer themselves.
     pub fn of<Q: QubitId>(circuit: &Circuit<Q>) -> Self {
+        const NO_LAYER: usize = usize::MAX;
         let mut frontier = vec![0usize; circuit.num_qubits()];
-        let mut layers: Vec<Vec<usize>> = Vec::new();
+        let mut level = vec![NO_LAYER; circuit.len()];
+        // first the gate count of each layer
+        let mut starts: Vec<usize> = Vec::new();
         for (idx, gate) in circuit.iter().enumerate() {
             let qs = gate.qubits();
             if qs.is_empty() {
                 continue;
             }
-            let level = qs.iter().map(|q| frontier[q.index()]).max().unwrap_or(0);
+            let at = qs.iter().map(|q| frontier[q.index()]).max().unwrap_or(0);
             if gate.is_barrier() {
                 // A barrier aligns its qubits to a common level without
                 // consuming a layer slot.
                 for q in qs {
-                    frontier[q.index()] = level;
+                    frontier[q.index()] = at;
                 }
                 continue;
             }
-            if level == layers.len() {
-                layers.push(Vec::new());
+            if at == starts.len() {
+                starts.push(0);
             }
-            layers[level].push(idx);
+            starts[at] += 1;
+            level[idx] = at;
             for q in qs {
-                frontier[q.index()] = level + 1;
+                frontier[q.index()] = at + 1;
             }
         }
-        Layers { layers }
+        // then each layer's end, and a backward fill that leaves
+        // `starts[i]` at layer i's start with gates in program order
+        let mut end = 0;
+        for s in &mut starts {
+            end += *s;
+            *s = end;
+        }
+        let mut order = vec![0usize; end];
+        for (idx, &at) in level.iter().enumerate().rev() {
+            if at != NO_LAYER {
+                starts[at] -= 1;
+                order[starts[at]] = idx;
+            }
+        }
+        starts.push(end);
+        Layers { order, starts }
     }
 
     /// The number of layers (the circuit depth excluding barriers).
     pub fn len(&self) -> usize {
-        self.layers.len()
+        self.starts.len() - 1
     }
 
     /// Whether there are no layers.
     pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
+        self.len() == 0
     }
 
     /// The gate indices of layer `i`, in program order.
@@ -84,12 +109,28 @@ impl Layers {
     ///
     /// Panics if `i >= self.len()`.
     pub fn layer(&self, i: usize) -> &[usize] {
-        &self.layers[i]
+        &self.order[self.range(i)]
+    }
+
+    /// The positions of layer `i`'s gate indices within
+    /// [`Layers::order`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.starts[i]..self.starts[i + 1]
+    }
+
+    /// Every layer's gate indices, layer after layer: barriers are left
+    /// out, every other gate appears once.
+    pub fn order(&self) -> &[usize] {
+        &self.order
     }
 
     /// Iterates over layers as slices of gate indices.
     pub fn iter(&self) -> impl Iterator<Item = &[usize]> {
-        self.layers.iter().map(Vec::as_slice)
+        self.starts.windows(2).map(|w| &self.order[w[0]..w[1]])
     }
 
     /// The CNOT gates of layer `i` as `(control, target)` pairs, resolved
@@ -100,7 +141,7 @@ impl Layers {
     /// Panics if `i >= self.len()` or the layering was built from a
     /// different circuit.
     pub fn cnots_in_layer<Q: QubitId>(&self, circuit: &Circuit<Q>, i: usize) -> Vec<(Q, Q)> {
-        self.layers[i]
+        self.layer(i)
             .iter()
             .filter_map(|&g| match &circuit.gates()[g] {
                 Gate::Cnot { control, target } => Some((*control, *target)),

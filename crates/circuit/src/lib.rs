@@ -48,7 +48,7 @@ mod schedule;
 pub use analysis::{qubit_activity, qubits_by_activity, InteractionGraph};
 pub use circuit::{Circuit, QubitId};
 pub use dag::GateDag;
-pub use gate::{Gate, OneQubitKind};
+pub use gate::{Gate, OneQubitKind, Operands, OperandsIter};
 pub use layers::Layers;
 pub use optimize::{optimize, OptimizeStats};
 pub use qubit::{Cbit, PhysQubit, Qubit};

@@ -6,13 +6,19 @@
 //! space in declaration order), standard gate names, `cx`, `swap`,
 //! `measure`, `barrier`, `pi`-expression angles, and comments.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
 use crate::circuit::{Circuit, QubitId};
 use crate::gate::{Gate, OneQubitKind};
-use crate::qubit::Cbit;
+use crate::qubit::{Cbit, Qubit};
+
+/// The most qubits, and the most classical bits, that the registers of
+/// one parsed program may declare in all: the largest device a spec can
+/// name, so every parsed circuit fits some device.
+pub const MAX_QASM_WIDTH: usize = 1024;
 
 /// Serializes a circuit as OpenQASM 2.0.
 ///
@@ -29,7 +35,9 @@ use crate::qubit::Cbit;
 /// assert!(text.contains("cx q[0], q[1];"));
 /// ```
 pub fn to_qasm<Q: QubitId>(circuit: &Circuit<Q>) -> String {
-    let mut out = String::new();
+    // a line is under 32 bytes unless it is a barrier or an angle of
+    // many digits; the rare longer text grows the buffer
+    let mut out = String::with_capacity(64 + 32 * circuit.len());
     out.push_str("OPENQASM 2.0;\n");
     out.push_str("include \"qelib1.inc\";\n");
     let _ = writeln!(out, "qreg q[{}];", circuit.num_qubits());
@@ -37,35 +45,33 @@ pub fn to_qasm<Q: QubitId>(circuit: &Circuit<Q>) -> String {
         let _ = writeln!(out, "creg c[{}];", circuit.num_cbits());
     }
     for gate in circuit {
-        match gate {
+        let _ = match gate {
             Gate::OneQubit { kind, qubit } => match kind.angle() {
-                Some(a) => {
-                    let _ = writeln!(
-                        out,
-                        "{}({}) q[{}];",
-                        kind.qasm_name(),
-                        fmt_angle(a),
-                        qubit.index()
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "{} q[{}];", kind.qasm_name(), qubit.index());
-                }
+                Some(a) => writeln!(
+                    out,
+                    "{}({}) q[{}];",
+                    kind.qasm_name(),
+                    fmt_angle(a),
+                    qubit.index()
+                ),
+                None => writeln!(out, "{} q[{}];", kind.qasm_name(), qubit.index()),
             },
             Gate::Cnot { control, target } => {
-                let _ = writeln!(out, "cx q[{}], q[{}];", control.index(), target.index());
+                writeln!(out, "cx q[{}], q[{}];", control.index(), target.index())
             }
-            Gate::Swap { a, b } => {
-                let _ = writeln!(out, "swap q[{}], q[{}];", a.index(), b.index());
-            }
+            Gate::Swap { a, b } => writeln!(out, "swap q[{}], q[{}];", a.index(), b.index()),
             Gate::Measure { qubit, cbit } => {
-                let _ = writeln!(out, "measure q[{}] -> c[{}];", qubit.index(), cbit.index());
+                writeln!(out, "measure q[{}] -> c[{}];", qubit.index(), cbit.index())
             }
             Gate::Barrier { qubits } => {
-                let operands: Vec<String> = qubits.iter().map(|q| format!("q[{}]", q.index())).collect();
-                let _ = writeln!(out, "barrier {};", operands.join(", "));
+                out.push_str("barrier ");
+                for (i, q) in qubits.iter().enumerate() {
+                    let sep = if i > 0 { ", " } else { "" };
+                    let _ = write!(out, "{sep}q[{}]", q.index());
+                }
+                writeln!(out, ";")
             }
-        }
+        };
     }
     out
 }
@@ -137,51 +143,44 @@ impl Error for ParseQasmError {}
 /// # }
 /// ```
 pub fn from_qasm(text: &str) -> Result<Circuit, ParseQasmError> {
-    let mut pending: Vec<(usize, String)> = Vec::new();
-
-    for (lineno, raw) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        for stmt in line.split(';') {
-            let stmt = stmt.trim();
-            if stmt.is_empty() {
-                continue;
-            }
-            pending.push((lineno, stmt.to_string()));
-        }
-    }
-
     // first pass: registers (multiple qregs/cregs are concatenated into
     // one global index space, in declaration order)
-    let mut gates: Vec<(usize, String)> = Vec::new();
     let mut qregs = RegisterTable::default();
     let mut cregs = RegisterTable::default();
-    for (lineno, stmt) in pending {
-        if stmt.starts_with("OPENQASM") || stmt.starts_with("include") {
-            continue;
-        }
+    for (lineno, stmt) in statements(text) {
         if let Some(rest) = stmt.strip_prefix("qreg") {
             qregs.declare(lineno, rest)?;
-            continue;
-        }
-        if let Some(rest) = stmt.strip_prefix("creg") {
+        } else if let Some(rest) = stmt.strip_prefix("creg") {
             cregs.declare(lineno, rest)?;
-            continue;
         }
-        gates.push((lineno, stmt));
     }
 
     if qregs.total == 0 {
         return Err(ParseQasmError::new(1, "missing qreg declaration"));
     }
     let mut c = Circuit::with_cbits(qregs.total, cregs.total.max(qregs.total));
-    for (lineno, stmt) in gates {
-        parse_statement(&mut c, &qregs, &cregs, lineno, &stmt)?;
+    // second pass: every statement that is not a header or declaration
+    for (lineno, stmt) in statements(text) {
+        if !["OPENQASM", "include", "qreg", "creg"]
+            .iter()
+            .any(|p| stmt.starts_with(p))
+        {
+            parse_statement(&mut c, &qregs, &cregs, lineno, stmt)?;
+        }
     }
     Ok(c)
+}
+
+/// The non-empty `;`-separated statements of `text`, trimmed and
+/// without comments, each with its 1-based line number.
+fn statements(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines().enumerate().flat_map(|(i, raw)| {
+        strip_comment(raw)
+            .split(';')
+            .map(str::trim)
+            .filter(|stmt| !stmt.is_empty())
+            .map(move |stmt| (i + 1, stmt))
+    })
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -193,14 +192,15 @@ fn strip_comment(line: &str) -> &str {
 
 /// Named registers flattened into one global index space.
 #[derive(Debug, Default)]
-struct RegisterTable {
+struct RegisterTable<'a> {
     /// (name, offset, size), in declaration order.
-    regs: Vec<(String, usize, usize)>,
+    regs: Vec<(&'a str, usize, usize)>,
+    /// At most [`MAX_QASM_WIDTH`].
     total: usize,
 }
 
-impl RegisterTable {
-    fn declare(&mut self, lineno: usize, rest: &str) -> Result<(), ParseQasmError> {
+impl<'a> RegisterTable<'a> {
+    fn declare(&mut self, lineno: usize, rest: &'a str) -> Result<(), ParseQasmError> {
         let rest = rest.trim();
         let open = rest
             .find('[')
@@ -212,7 +212,7 @@ impl RegisterTable {
         if name.is_empty() || !name.chars().all(|ch| ch.is_ascii_alphanumeric() || ch == '_') {
             return Err(ParseQasmError::new(lineno, format!("bad register name '{name}'")));
         }
-        if self.regs.iter().any(|(n, _, _)| n == name) {
+        if self.regs.iter().any(|(n, _, _)| *n == name) {
             return Err(ParseQasmError::new(
                 lineno,
                 format!("register '{name}' declared twice"),
@@ -222,8 +222,20 @@ impl RegisterTable {
             .trim()
             .parse()
             .map_err(|_| ParseQasmError::new(lineno, "register size is not a number"))?;
-        self.regs.push((name.to_string(), self.total, size));
-        self.total += size;
+        let total = self
+            .total
+            .checked_add(size)
+            .filter(|&t| t <= MAX_QASM_WIDTH)
+            .ok_or_else(|| {
+                ParseQasmError::new(
+                    lineno,
+                    format!(
+                        "register '{name}' of size {size} declares more than {MAX_QASM_WIDTH} bits in all"
+                    ),
+                )
+            })?;
+        self.regs.push((name, self.total, size));
+        self.total = total;
         Ok(())
     }
 
@@ -244,7 +256,7 @@ impl RegisterTable {
         let (_, offset, size) = self
             .regs
             .iter()
-            .find(|(n, _, _)| n == name)
+            .find(|(n, _, _)| *n == name)
             .ok_or_else(|| ParseQasmError::new(lineno, format!("unknown register '{name}'")))?;
         if idx >= *size {
             return Err(ParseQasmError::new(
@@ -252,33 +264,36 @@ impl RegisterTable {
                 format!("index {idx} out of range for register '{name}' of size {size}"),
             ));
         }
+        // below the total, which is at most MAX_QASM_WIDTH
         Ok((offset + idx) as u32)
     }
 }
 
+/// Parses an angle, refusing one that is not finite (`nan`, `inf`,
+/// `pi/0`), which OpenQASM 2.0 cannot write.
 fn parse_angle(lineno: usize, text: &str) -> Result<f64, ParseQasmError> {
     let text = text.trim();
     // Accept simple `pi`-expressions: pi, pi/2, -pi/4, 2*pi, plus numbers.
-    let normalized = text.replace(' ', "");
+    let normalized = if text.contains(' ') {
+        Cow::Owned(text.replace(' ', ""))
+    } else {
+        Cow::Borrowed(text)
+    };
+    let bad = || ParseQasmError::new(lineno, format!("bad angle '{text}'"));
     let value = if let Some(rest) = normalized.strip_prefix("-") {
         -parse_angle(lineno, rest)?
     } else if normalized == "pi" {
         std::f64::consts::PI
     } else if let Some(den) = normalized.strip_prefix("pi/") {
-        let d: f64 = den
-            .parse()
-            .map_err(|_| ParseQasmError::new(lineno, format!("bad angle '{text}'")))?;
-        std::f64::consts::PI / d
+        std::f64::consts::PI / den.parse::<f64>().map_err(|_| bad())?
     } else if let Some(mul) = normalized.strip_suffix("*pi") {
-        let m: f64 = mul
-            .parse()
-            .map_err(|_| ParseQasmError::new(lineno, format!("bad angle '{text}'")))?;
-        m * std::f64::consts::PI
+        mul.parse::<f64>().map_err(|_| bad())? * std::f64::consts::PI
     } else {
-        normalized
-            .parse()
-            .map_err(|_| ParseQasmError::new(lineno, format!("bad angle '{text}'")))?
+        normalized.parse().map_err(|_| bad())?
     };
+    if !value.is_finite() {
+        return Err(ParseQasmError::new(lineno, format!("angle '{text}' is not finite")));
+    }
     Ok(value)
 }
 
@@ -299,42 +314,39 @@ fn parse_statement(
         }
     };
 
-    let check = |_c: &Circuit, q: u32| -> Result<crate::Qubit, ParseQasmError> { Ok(crate::Qubit(q)) };
-
     if head == "measure" {
-        let parts: Vec<&str> = args.split("->").collect();
-        if parts.len() != 2 {
-            return Err(ParseQasmError::new(lineno, "measure needs 'q[i] -> c[j]'"));
-        }
-        let q = qregs.resolve(lineno, parts[0])?;
-        let b = cregs.resolve(lineno, parts[1])?;
+        let (q, b) = match args.split_once("->") {
+            Some((q, b)) if !b.contains("->") => (q, b),
+            _ => return Err(ParseQasmError::new(lineno, "measure needs 'q[i] -> c[j]'")),
+        };
+        let q = qregs.resolve(lineno, q)?;
+        let b = cregs.resolve(lineno, b)?;
         if (b as usize) >= c.num_cbits() {
             return Err(ParseQasmError::new(
                 lineno,
                 format!("classical index {b} out of range"),
             ));
         }
-        c.measure(check(c, q)?, Cbit(b));
+        c.measure(Qubit(q), Cbit(b));
         return Ok(());
     }
 
     if head == "barrier" {
         let mut qubits = Vec::new();
         for part in args.split(',') {
-            let q = qregs.resolve(lineno, part)?;
-            qubits.push(check(c, q)?);
+            qubits.push(Qubit(qregs.resolve(lineno, part)?));
         }
         c.push(Gate::Barrier { qubits });
         return Ok(());
     }
 
     if head == "cx" || head == "swap" {
-        let parts: Vec<&str> = args.split(',').collect();
-        if parts.len() != 2 {
+        let mut parts = args.split(',');
+        let (Some(a), Some(b), None) = (parts.next(), parts.next(), parts.next()) else {
             return Err(ParseQasmError::new(lineno, format!("{head} needs two operands")));
-        }
-        let a = check(c, qregs.resolve(lineno, parts[0])?)?;
-        let b = check(c, qregs.resolve(lineno, parts[1])?)?;
+        };
+        let a = Qubit(qregs.resolve(lineno, a)?);
+        let b = Qubit(qregs.resolve(lineno, b)?);
         if a == b {
             return Err(ParseQasmError::new(
                 lineno,
@@ -376,8 +388,7 @@ fn parse_statement(
             return Err(ParseQasmError::new(lineno, format!("unsupported gate '{head}'")));
         }
     };
-    let q = qregs.resolve(lineno, args)?;
-    c.one(kind, check(c, q)?);
+    c.one(kind, Qubit(qregs.resolve(lineno, args)?));
     Ok(())
 }
 
@@ -496,6 +507,57 @@ mod tests {
         assert!(err.to_string().contains("unknown register 'z'"));
         let err = from_qasm("qreg a[2];\nh a[5];\n").unwrap_err();
         assert!(err.to_string().contains("out of range for register 'a'"));
+    }
+
+    #[test]
+    fn refuses_a_register_past_the_width_cap() {
+        // would otherwise reach a 3 GB allocation in Circuit::used_qubits
+        let err = from_qasm("qreg q[3000000000]; h q[0];").unwrap_err();
+        assert_eq!(err.line(), 1);
+        assert!(err.to_string().contains("more than 1024"), "{err}");
+        let err = from_qasm("qreg q[2];\ncreg c[1000];\ncreg d[25];\n").unwrap_err();
+        assert_eq!(err.line(), 3);
+        let c = from_qasm(&format!("qreg q[{MAX_QASM_WIDTH}];\ncreg c[{MAX_QASM_WIDTH}];\nh q[1023];\n")).unwrap();
+        assert_eq!((c.num_qubits(), c.num_cbits()), (MAX_QASM_WIDTH, MAX_QASM_WIDTH));
+    }
+
+    #[test]
+    fn refuses_register_sizes_that_wrap_the_total() {
+        // the total would wrap to 1, and `h b[0]` then panic in push
+        let err = from_qasm("qreg a[18446744073709551615]; qreg b[2]; h b[0];").unwrap_err();
+        assert_eq!(err.line(), 1);
+        let err = from_qasm("qreg a[1000];\nqreg b[18446744073709551615];\n").unwrap_err();
+        assert_eq!(err.line(), 2);
+    }
+
+    #[test]
+    fn refuses_indices_past_u32_instead_of_truncating_them() {
+        // q[4294967296] would become q[0] as a u32
+        let err = from_qasm("qreg q[4294967298]; cx q[0], q[4294967296];").unwrap_err();
+        assert_eq!(err.line(), 1);
+        assert!(!err.to_string().contains("must differ"), "{err}");
+    }
+
+    #[test]
+    fn refuses_non_finite_angles() {
+        let program = |angle: &str| format!("qreg q[2];\ncreg c[2];\nrz({angle}) q[0];\ncx q[0], q[1];\n");
+        for angle in ["nan", "-nan", "inf", "-inf", "infinity", "pi/0", "-pi/0", "1e308*pi"] {
+            let err = from_qasm(&program(angle)).unwrap_err();
+            assert_eq!(err.line(), 3, "{angle}");
+            assert!(err.to_string().contains("not finite"), "{angle}: {err}");
+        }
+        let err = from_qasm("qreg q[2]; creg c[2];\nrx(pi/2) q[0];\nrx(pi/0) q[1];\n").unwrap_err();
+        assert_eq!(err.line(), 3);
+    }
+
+    #[test]
+    fn measure_and_two_qubit_operand_counts_are_checked() {
+        let err = from_qasm("qreg q[2];\ncreg c[2];\nmeasure q[0] -> c[0] -> c[1];\n").unwrap_err();
+        assert!(err.to_string().contains("measure needs"), "{err}");
+        let err = from_qasm("qreg q[3];\nswap q[0], q[1], q[2];\n").unwrap_err();
+        assert!(err.to_string().contains("swap needs two operands"), "{err}");
+        let err = from_qasm("qreg q[3];\ncx q[0];\n").unwrap_err();
+        assert!(err.to_string().contains("cx needs two operands"), "{err}");
     }
 
     #[test]

@@ -439,53 +439,40 @@ fn metric_distances(device: &Device, metric: RoutingMetric) -> &ReliabilityMatri
     }
 }
 
-/// The routing order shared by every candidate of a portfolio: gates
-/// flattened in layer order, the positions of two-qubit gates (feeding
-/// the lookahead), and per-layer position bounds so the portfolio
-/// router can extend candidates one layer at a time.
+/// The routing order shared by every candidate of a portfolio: the
+/// circuit's layers (gates flattened in layer order, with per-layer
+/// position bounds so the portfolio router can extend candidates one
+/// layer at a time) and the operands of its two-qubit gates, feeding
+/// the lookahead.
 pub(crate) struct RouteBase {
-    /// Gate indices in layer order.
-    pub(crate) order: Vec<usize>,
-    /// Positions (into `order`) of the two-qubit gates.
-    pub(crate) two_qubit_positions: Vec<usize>,
+    /// Gate indices in layer order, and each layer's positions in it.
+    pub(crate) layers: Layers,
+    /// The operand pairs of the two-qubit gates, in layer order.
+    pub(crate) pairs: Vec<(Qubit, Qubit)>,
     /// Per position, the count of two-qubit gates at positions `<=`
-    /// it: the lookahead starts at `two_qubit_positions[rank_2q[pos]]`.
+    /// it: the lookahead starts at `pairs[rank_2q[pos]]`.
     pub(crate) rank_2q: Vec<usize>,
-    /// Half-open `(start, end)` position ranges, one per circuit layer.
-    pub(crate) layer_bounds: Vec<(usize, usize)>,
 }
 
 impl RouteBase {
     pub(crate) fn of(circuit: &Circuit) -> Self {
         let layers = Layers::of(circuit);
-        let mut order = Vec::new();
-        let mut layer_bounds = Vec::with_capacity(layers.len());
-        for li in 0..layers.len() {
-            let start = order.len();
-            order.extend_from_slice(layers.layer(li));
-            layer_bounds.push((start, order.len()));
-        }
-        let two_qubit_positions: Vec<usize> = (0..order.len())
-            .filter(|&i| circuit.gates()[order[i]].is_two_qubit())
+        let mut pairs = Vec::new();
+        let rank_2q = layers
+            .order()
+            .iter()
+            .map(|&gi| {
+                if let Gate::Cnot { control: a, target: b } | Gate::Swap { a, b } = circuit.gates()[gi] {
+                    pairs.push((a, b));
+                }
+                pairs.len()
+            })
             .collect();
-        let mut rank_2q = vec![0usize; order.len()];
-        let mut rank = 0usize;
-        for (pos, &gi) in order.iter().enumerate() {
-            if circuit.gates()[gi].is_two_qubit() {
-                rank += 1;
-            }
-            rank_2q[pos] = rank;
-        }
-        RouteBase {
-            order,
-            two_qubit_positions,
-            rank_2q,
-            layer_bounds,
-        }
+        RouteBase { layers, pairs, rank_2q }
     }
 }
 
-/// Routes the positions in `range` (indices into `base.order`) onto
+/// Routes the positions in `range` (into `base.layers.order()`) onto
 /// `out`, advancing `mapping` and `inserted` — the stepwise routing
 /// step shared by [`route`] (whole circuit at once) and the portfolio
 /// router (layer by layer per candidate).
@@ -502,7 +489,7 @@ pub(crate) fn route_positions(
     inserted: &mut usize,
 ) -> Result<(), CompileError> {
     for pos in range {
-        let gi = base.order[pos];
+        let gi = base.layers.order()[pos];
         let gate = &circuit.gates()[gi];
         match gate {
             Gate::OneQubit { kind, qubit } => {
@@ -520,18 +507,11 @@ pub(crate) fn route_positions(
                 target: b,
             }
             | Gate::Swap { a, b } => {
-                debug_assert!(pos < base.order.len());
-                let upcoming: Vec<(Qubit, Qubit)> = base.two_qubit_positions[base.rank_2q[pos]..]
-                    .iter()
-                    .take(LOOKAHEAD_WINDOW)
-                    .map(|&i| {
-                        let qs = circuit.gates()[base.order[i]].qubits();
-                        (qs[0], qs[1])
-                    })
-                    .collect();
+                let upcoming = &base.pairs[base.rank_2q[pos]..];
+                let upcoming = &upcoming[..upcoming.len().min(LOOKAHEAD_WINDOW)];
                 let start_len = out.gates().len();
                 let start_locs = (mapping.phys_of(*a), mapping.phys_of(*b));
-                bring_together(device, metric, mapping, out, inserted, *a, *b, &upcoming)?;
+                bring_together(device, metric, mapping, out, inserted, *a, *b, upcoming)?;
                 let (pa, pb) = (mapping.phys_of(*a), mapping.phys_of(*b));
                 match gate {
                     Gate::Cnot { .. } => {
@@ -590,13 +570,13 @@ pub(crate) fn route(
         metric,
         excess_router.as_ref(),
         &base,
-        0..base.order.len(),
+        0..base.layers.order().len(),
         &mut mapping,
         &mut out,
         &mut inserted,
     )?;
 
-    quva_obs::counter("route.gates", base.two_qubit_positions.len() as u64);
+    quva_obs::counter("route.gates", base.pairs.len() as u64);
     quva_obs::counter("route.swaps_inserted", inserted as u64);
     Ok(CompiledCircuit {
         physical: out,

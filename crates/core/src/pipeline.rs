@@ -648,7 +648,7 @@ impl CompilePass for PortfolioRoutePass {
                 score: 1.0,
             }];
 
-            for &(lo, hi) in &base.layer_bounds {
+            for li in 0..base.layers.len() {
                 // each child routes the layer into a fresh segment
                 let mut children: Vec<(RouteCandidate, Circuit<PhysQubit>)> = Vec::new();
                 let mut pruned = 0u64;
@@ -668,7 +668,7 @@ impl CompilePass for PortfolioRoutePass {
                             *metric,
                             probe.as_ref(),
                             &base,
-                            lo..hi,
+                            base.layers.range(li),
                             &mut child.mapping,
                             &mut segment,
                             &mut child.inserted,
@@ -769,7 +769,7 @@ impl CompilePass for PortfolioRoutePass {
             for &i in chain.iter().rev() {
                 out.append(&arena[i].gates);
             }
-            quva_obs::counter("route.gates", base.two_qubit_positions.len() as u64);
+            quva_obs::counter("route.gates", base.pairs.len() as u64);
             quva_obs::counter("route.swaps_inserted", chosen.inserted as u64);
             (
                 CompiledCircuit::from_parts(out, initial, chosen.mapping, chosen.inserted),
