@@ -46,14 +46,9 @@ pub fn to_qasm<Q: QubitId>(circuit: &Circuit<Q>) -> String {
     }
     for gate in circuit {
         let _ = match gate {
+            // `{a}` is the shortest decimal that reads back as `a`
             Gate::OneQubit { kind, qubit } => match kind.angle() {
-                Some(a) => writeln!(
-                    out,
-                    "{}({}) q[{}];",
-                    kind.qasm_name(),
-                    fmt_angle(a),
-                    qubit.index()
-                ),
+                Some(a) => writeln!(out, "{}({a}) q[{}];", kind.qasm_name(), qubit.index()),
                 None => writeln!(out, "{} q[{}];", kind.qasm_name(), qubit.index()),
             },
             Gate::Cnot { control, target } => {
@@ -74,22 +69,6 @@ pub fn to_qasm<Q: QubitId>(circuit: &Circuit<Q>) -> String {
         };
     }
     out
-}
-
-fn fmt_angle(a: f64) -> String {
-    // Maximum round-trip precision without trailing-zero noise.
-    let s = format!("{a:.17}");
-    match s.parse::<f64>() {
-        Ok(v) if v == a => {
-            let short = format!("{a}");
-            if short.parse::<f64>() == Ok(a) {
-                short
-            } else {
-                s
-            }
-        }
-        _ => s,
-    }
 }
 
 /// Error produced when parsing OpenQASM fails.
@@ -566,5 +545,16 @@ mod tests {
         c.rz(std::f64::consts::PI / 3.0, Qubit(0));
         let back = from_qasm(&to_qasm(&c)).unwrap();
         assert_eq!(c, back);
+    }
+
+    #[test]
+    fn small_angles_are_written_exactly() {
+        let mut c = Circuit::new(1);
+        c.rz(std::f64::consts::PI / 512.0, Qubit(0)).rx(-4e-18, Qubit(0));
+        let text = to_qasm(&c);
+        // the {:.17} form, 0.00613592315154256, reads back as another double
+        assert!(text.contains("rz(0.006135923151542565) q[0];"), "{text}");
+        assert!(text.contains("rx(-0.000000000000000004) q[0];"), "{text}");
+        assert_eq!(from_qasm(&text).unwrap(), c);
     }
 }

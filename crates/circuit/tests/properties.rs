@@ -21,9 +21,8 @@ fn arb_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = Circuit> {
             ][k];
             GateSpec::One(q as u32, kind)
         }),
-        // rotations
-        (0..n, -30i32..30, 0usize..3).prop_map(|(q, a, axis)| {
-            let angle = a as f64 / 10.0;
+        // rotations, at ordinary and at tiny angles
+        (0..n, arb_angle(), 0usize..3).prop_map(|(q, angle, axis)| {
             let kind = match axis {
                 0 => OneQubitKind::Rx(angle),
                 1 => OneQubitKind::Ry(angle),
@@ -53,6 +52,44 @@ fn arb_circuit(n: usize, max_gates: usize) -> impl Strategy<Value = Circuit> {
         }
         c
     })
+}
+
+/// How many tiny angles [`tiny_angle`] numbers.
+const TINY_ANGLES: usize = 73;
+
+/// The angles below 0.01 that a fixed-precision decimal loses: π/2^i
+/// for i in 0..=70, then 1e-300 and the smallest subnormal.
+fn tiny_angle(i: usize) -> f64 {
+    match i {
+        0..=70 => std::f64::consts::PI / 2f64.powi(i as i32),
+        71 => 1e-300,
+        _ => f64::from_bits(1),
+    }
+}
+
+/// Strategy: tenths in [-3, 3), or a tiny angle of either sign.
+fn arb_angle() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-30i32..30).prop_map(|a| a as f64 / 10.0),
+        (0..TINY_ANGLES, any::<bool>()).prop_map(|(i, neg)| if neg { -tiny_angle(i) } else { tiny_angle(i) }),
+    ]
+}
+
+#[test]
+fn qasm_roundtrips_every_tiny_angle_of_either_sign() {
+    let mut c = Circuit::new(1);
+    for a in (0..TINY_ANGLES).map(tiny_angle) {
+        c.rz(a, Qubit(0)).rx(-a, Qubit(0));
+    }
+    let back = qasm::from_qasm(&qasm::to_qasm(&c)).expect("exported qasm parses");
+    for (g, h) in c.iter().zip(back.iter()) {
+        let angle = |g: &Gate| match g {
+            Gate::OneQubit { kind, .. } => kind.angle().map(f64::to_bits),
+            _ => None,
+        };
+        assert_eq!(angle(g), angle(h), "{g} came back as {h}");
+    }
+    assert_eq!(c, back);
 }
 
 #[derive(Debug, Clone, Copy)]
