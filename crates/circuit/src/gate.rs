@@ -310,7 +310,10 @@ impl<'a, Q: Copy> IntoIterator for Operands<'a, Q> {
     type IntoIter = OperandsIter<'a, Q>;
 
     fn into_iter(self) -> OperandsIter<'a, Q> {
-        OperandsIter { operands: self, next: 0 }
+        OperandsIter {
+            operands: self,
+            next: 0,
+        }
     }
 }
 

@@ -271,7 +271,10 @@ fn parse_angle(lineno: usize, text: &str) -> Result<f64, ParseQasmError> {
         normalized.parse().map_err(|_| bad())?
     };
     if !value.is_finite() {
-        return Err(ParseQasmError::new(lineno, format!("angle '{text}' is not finite")));
+        return Err(ParseQasmError::new(
+            lineno,
+            format!("angle '{text}' is not finite"),
+        ));
     }
     Ok(value)
 }
@@ -496,7 +499,10 @@ mod tests {
         assert!(err.to_string().contains("more than 1024"), "{err}");
         let err = from_qasm("qreg q[2];\ncreg c[1000];\ncreg d[25];\n").unwrap_err();
         assert_eq!(err.line(), 3);
-        let c = from_qasm(&format!("qreg q[{MAX_QASM_WIDTH}];\ncreg c[{MAX_QASM_WIDTH}];\nh q[1023];\n")).unwrap();
+        let c = from_qasm(&format!(
+            "qreg q[{MAX_QASM_WIDTH}];\ncreg c[{MAX_QASM_WIDTH}];\nh q[1023];\n"
+        ))
+        .unwrap();
         assert_eq!((c.num_qubits(), c.num_cbits()), (MAX_QASM_WIDTH, MAX_QASM_WIDTH));
     }
 
@@ -520,7 +526,9 @@ mod tests {
     #[test]
     fn refuses_non_finite_angles() {
         let program = |angle: &str| format!("qreg q[2];\ncreg c[2];\nrz({angle}) q[0];\ncx q[0], q[1];\n");
-        for angle in ["nan", "-nan", "inf", "-inf", "infinity", "pi/0", "-pi/0", "1e308*pi"] {
+        for angle in [
+            "nan", "-nan", "inf", "-inf", "infinity", "pi/0", "-pi/0", "1e308*pi",
+        ] {
             let err = from_qasm(&program(angle)).unwrap_err();
             assert_eq!(err.line(), 3, "{angle}");
             assert!(err.to_string().contains("not finite"), "{angle}: {err}");

@@ -462,13 +462,22 @@ impl RouteBase {
             .order()
             .iter()
             .map(|&gi| {
-                if let Gate::Cnot { control: a, target: b } | Gate::Swap { a, b } = circuit.gates()[gi] {
+                if let Gate::Cnot {
+                    control: a,
+                    target: b,
+                }
+                | Gate::Swap { a, b } = circuit.gates()[gi]
+                {
                     pairs.push((a, b));
                 }
                 pairs.len()
             })
             .collect();
-        RouteBase { layers, pairs, rank_2q }
+        RouteBase {
+            layers,
+            pairs,
+            rank_2q,
+        }
     }
 }
 

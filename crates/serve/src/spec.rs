@@ -299,6 +299,11 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_parsed_qasm_program_fits_the_largest_device() {
+        assert_eq!(quva_circuit::qasm::MAX_QASM_WIDTH, MAX_SPEC_QUBITS);
+    }
+
+    #[test]
     fn named_devices() {
         assert_eq!(parse_device("q20").unwrap().num_qubits(), 20);
         assert_eq!(parse_device("q5").unwrap().num_qubits(), 5);
