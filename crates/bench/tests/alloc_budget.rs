@@ -165,8 +165,8 @@ fn the_policy_sweep_path_stays_within_its_allocation_budgets() {
         ("audit_compiled per gate", audit.per_gate(), 3.0),
         ("to_qasm per call", emit.per_call(), 1.5),
         ("from_qasm per call", parse.per_call(), 12.0),
-        ("Layers::of per call", layers.per_call(), 11.0),
-        ("Schedule::asap per call", asap.per_call(), 15.0),
+        ("Layers::of per call", layers.per_call(), 6.0),
+        ("Schedule::asap per call", asap.per_call(), 10.5),
     ]
     .into_iter()
     .filter(|&(_, measured, budget)| measured > budget)

@@ -50,8 +50,9 @@ impl Layers {
         const NO_LAYER: usize = usize::MAX;
         let mut frontier = vec![0usize; circuit.num_qubits()];
         let mut level = vec![NO_LAYER; circuit.len()];
-        // first the gate count of each layer
-        let mut starts: Vec<usize> = Vec::new();
+        // first the gate count of each layer; every layer holds a gate,
+        // so there are at most `len` layers plus the closing entry
+        let mut starts: Vec<usize> = Vec::with_capacity(circuit.len() + 1);
         for (idx, gate) in circuit.iter().enumerate() {
             let qs = gate.qubits();
             if qs.is_empty() {
